@@ -2,7 +2,7 @@
 """Partition soak: a quorum rack splits 4-vs-2 mid-workload and heals.
 
 Builds a rack from the ``rack_quorum`` preset (6 boards, replication
-factor 3, majority write/read quorums w=2/r=2), drives a mixed put/get
+factor 3, derived majority quorums w=2/r=2), drives a mixed put/get
 workload, and -- through a ``fleet.partition`` fault-plan entry --
 splits the switch into a majority and a minority side for a fixed
 window.  Optionally a minority board is killed mid-split (``--kill``),
@@ -169,7 +169,7 @@ def main() -> None:
     c = result["client"]
     print(
         f"workload: {c['puts_acked']} puts acked, {c['gets']} gets, "
-        f"{c['timeouts']} timeouts, {c['quorum_rejects']} quorum rejects, "
+        f"{c['timeouts']} timeouts, {c['rejections']} rejections, "
         f"{c['hints_sent']} hints sent"
     )
     print(

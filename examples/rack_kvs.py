@@ -2,8 +2,9 @@
 """Rack-scale KVS: N simulated Enzians behind one switch, with failover.
 
 Builds a rack from the ``rack8`` preset's fleet section (8 boards,
-replication factor 2, consistent-hash placement), runs a replicated
-put/get workload from a client port, and -- mid-run -- kills one
+replication factor 2, consistent-hash placement; the derived quorums
+are w=2, r=1), runs a replicated put/get workload from a client port,
+and -- mid-run -- kills one
 machine through a ``fleet.machine`` fault-plan entry.  The rack
 *degrades* instead of aborting: the victim's health machine lands in
 FAILED, its shards promote to their first replicas, every acknowledged

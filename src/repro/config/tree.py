@@ -316,8 +316,8 @@ def _degraded() -> PlatformConfig:
 
 
 def _rack8() -> PlatformConfig:
-    """An 8-board rack of ``full`` machines serving the sharded KVS
-    with replication factor 2 -- the fleet demo/bench design point."""
+    """An 8-board rack serving the sharded KVS with replication factor
+    2 (derived quorums w=2, r=1) -- the fleet demo/bench design point."""
     return PlatformConfig(
         preset="rack8",
         fleet=FleetConfig(enabled=True, machines=8, replication_factor=2),
@@ -326,18 +326,12 @@ def _rack8() -> PlatformConfig:
 
 def _rack_quorum() -> PlatformConfig:
     """A 6-board rack running the partition-tolerant design point:
-    replication factor 3 with majority write/read quorums (w=2, r=2),
-    so a minority partition leaves the majority side both available
+    replication factor 3, so the derived majority quorums are w=2, r=2
+    and a minority partition leaves the majority side both available
     and linearizable (hinted handoff covers the cut-off replica)."""
     return PlatformConfig(
         preset="rack_quorum",
-        fleet=FleetConfig(
-            enabled=True,
-            machines=6,
-            replication_factor=3,
-            write_quorum=2,
-            read_quorum=2,
-        ),
+        fleet=FleetConfig(enabled=True, machines=6, replication_factor=3),
     )
 
 
@@ -347,13 +341,7 @@ def _rack_traffic() -> PlatformConfig:
     with a 6x flash crowd mid-run, gateway admission on."""
     return PlatformConfig(
         preset="rack_traffic",
-        fleet=FleetConfig(
-            enabled=True,
-            machines=6,
-            replication_factor=3,
-            write_quorum=2,
-            read_quorum=2,
-        ),
+        fleet=FleetConfig(enabled=True, machines=6, replication_factor=3),
         traffic=traffic_preset("million_users"),
     )
 

@@ -26,8 +26,8 @@ Design points:
   :meth:`repro.fleet.kvs.KvsShardServer.apply_hint`: a versioned copy
   only lands where it is strictly newer, so a pass can never clobber a
   quorum-committed write, and tombstones propagate like any other
-  versioned write.  Version-less keys (the all-replica discipline
-  stamps none) are only ever *filled in* where missing, mirroring
+  versioned write.  Version-less keys (written into a store outside
+  the KVS protocol) are only ever *filled in* where missing, mirroring
   :meth:`~repro.fleet.rack.Rack.re_replicate`.
 * **Control-plane, deterministic.**  Like ``re_replicate`` the pass is
   an instantaneous repair (no simulated wire traffic) driven by
@@ -318,9 +318,9 @@ class AntiEntropyScheduler:
                 elif vb > va:
                     repaired += self._repair(mb, ma, key, eb)
                 else:
-                    # Same version, different content: only the
-                    # version-less discipline can get here, and it has
-                    # no ground truth -- fill in missing copies, never
+                    # Same version, different content: only version-
+                    # less keys can get here, and they have no ground
+                    # truth -- fill in missing copies, never
                     # overwrite (exactly re_replicate's rule).
                     if ea is not None and eb is None:
                         repaired += self._repair(ma, mb, key, ea)

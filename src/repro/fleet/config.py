@@ -1,10 +1,11 @@
 """The ``fleet`` section of the platform configuration tree.
 
-A fleet is a *rack* of simulated Enzians: ``machines`` boards, each
-built from the named ``machine_preset``, attached to one multi-port
-switch and serving a sharded key-value store with ``replication_factor``
-copies of every key placed by a consistent-hash ring (``vnodes``
-virtual nodes per machine).
+A fleet is a *rack* of simulated Enzians: ``machines`` boards attached
+to one multi-port switch and serving a sharded key-value store with
+``replication_factor`` copies of every key placed by a consistent-hash
+ring (``vnodes`` virtual nodes per machine).  The write and read
+quorums are not knobs: they are derived majorities of the replication
+factor (:attr:`FleetConfig.write_quorum`, :attr:`FleetConfig.read_quorum`).
 
 Like ``faults`` and ``health``, the section is *off by default* and
 zero-cost when off: with ``enabled = False`` no rack machinery is
@@ -14,8 +15,7 @@ build without this package.  Determinism is part of the contract --
 ``(seed, FleetConfig)`` pair must reproduce bit-identical metrics.
 
 This module deliberately imports nothing from :mod:`repro.config` (the
-tree imports *us*); rack construction resolves ``machine_preset``
-lazily.
+tree imports *us*).
 """
 
 from __future__ import annotations
@@ -61,33 +61,18 @@ class FleetConfig:
     enabled: bool = False
     #: Boards in the rack.
     machines: int = 2
-    #: Copies of every key (1 = no replication).  A write is acked only
-    #: once every replica has applied it, so a single machine failure
-    #: never loses an acknowledged write when this is >= 2.
+    #: Copies of every key (1 = no replication).  A write is acked at
+    #: a majority of them (:attr:`write_quorum`), so a single machine
+    #: failure never loses an acknowledged write when this is >= 2.
     replication_factor: int = 1
-    #: Write quorum: acks required before a put/delete is acknowledged.
-    #: 0 (the default) keeps the historical all-replica semantics
-    #: bit-identical; a positive value must be a strict majority of
-    #: ``replication_factor`` (so two disjoint write quorums cannot
-    #: both commit the same key under a partition).
-    write_quorum: int = 0
-    #: Read quorum: replicas consulted per get, with the highest
-    #: ``(epoch, seq)`` version winning and stale responders
-    #: read-repaired.  0 (the default) keeps the historical
-    #: primary-only read bit-identical.  Required (with
-    #: ``write_quorum + read_quorum > replication_factor``) whenever
-    #: ``write_quorum`` is set, so reads always intersect writes.
-    read_quorum: int = 0
     #: Queue a hinted handoff on an acked replica for every placement
     #: target that missed a quorum write, drained when the partition
-    #: heals.  Inert while ``write_quorum`` is 0 (an all-replica ack
-    #: never has a missing target).
+    #: heals.  Inert while ``write_quorum == replication_factor`` (a
+    #: full-set ack never has a missing target).
     hinted_handoff: bool = True
     #: Virtual nodes per machine on the consistent-hash ring.  More
     #: vnodes = smoother placement, slower ring construction.
     vnodes: int = 64
-    #: Name of the :mod:`repro.config` preset every board is built from.
-    machine_preset: str = "full"
     #: Per-port line rate into the rack switch (the FPGA-side 100 GbE).
     link_gbps: float = 100.0
     #: One-way propagation per link (ns).
@@ -120,38 +105,8 @@ class FleetConfig:
                 f"replication_factor must be in 1..{self.machines} (machines), "
                 f"got {self.replication_factor}"
             )
-        if not 0 <= self.write_quorum <= self.replication_factor:
-            raise ValueError(
-                f"write_quorum must be in 0..{self.replication_factor} "
-                f"(replication_factor), got {self.write_quorum}"
-            )
-        if not 0 <= self.read_quorum <= self.replication_factor:
-            raise ValueError(
-                f"read_quorum must be in 0..{self.replication_factor} "
-                f"(replication_factor), got {self.read_quorum}"
-            )
-        if self.write_quorum:
-            if 2 * self.write_quorum <= self.replication_factor:
-                raise ValueError(
-                    f"write_quorum {self.write_quorum} is not a majority of "
-                    f"replication_factor {self.replication_factor}; two "
-                    "disjoint write quorums could both commit under a partition"
-                )
-            if not self.read_quorum:
-                raise ValueError(
-                    "write_quorum without read_quorum would let primary-only "
-                    "reads miss quorum-committed writes; set read_quorum too"
-                )
-            if self.write_quorum + self.read_quorum <= self.replication_factor:
-                raise ValueError(
-                    f"write_quorum {self.write_quorum} + read_quorum "
-                    f"{self.read_quorum} must exceed replication_factor "
-                    f"{self.replication_factor} so reads intersect writes"
-                )
         if self.vnodes < 1:
             raise ValueError(f"vnodes must be >= 1, got {self.vnodes}")
-        if not self.machine_preset:
-            raise ValueError("machine_preset must be a non-empty preset name")
         if self.link_gbps <= 0:
             raise ValueError(f"link_gbps must be positive, got {self.link_gbps}")
         if self.link_propagation_ns < 0:
@@ -166,6 +121,19 @@ class FleetConfig:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.kvs_slots < 8:
             raise ValueError(f"kvs_slots must be >= 8, got {self.kvs_slots}")
+
+    @property
+    def write_quorum(self) -> int:
+        """Acks that commit a put/delete: a strict majority of the
+        replication factor, so two disjoint write quorums can never both
+        commit the same key under a partition."""
+        return self.replication_factor // 2 + 1
+
+    @property
+    def read_quorum(self) -> int:
+        """Responses that commit a get: the fewest that still intersect
+        every write quorum (``write_quorum + read_quorum > rf``)."""
+        return self.replication_factor - self.write_quorum + 1
 
     def machine_names(self) -> tuple[str, ...]:
         """The rack's board names, in rack-slot order."""

@@ -5,33 +5,37 @@ single-board, FPGA-terminated KV-Direct store -- across the rack: each
 machine runs a :class:`KvsShardServer` that terminates request frames
 on its switch port and executes operations against its local store
 after the pipeline's service time.  A :class:`FleetKvsClient` places
-keys with the rack's consistent-hash ring and replicates every write;
-an acknowledged write survives any single machine failure.
+keys with the rack's consistent-hash ring and replicates every write
+through the key's primary.
 
-Two write/read disciplines share the client, selected by
-:class:`repro.fleet.config.FleetConfig`:
+The replication protocol is primary-coordinated majority quorums, with
+both quorums derived from the replication factor
+(:attr:`repro.fleet.config.FleetConfig.write_quorum` /
+:attr:`~repro.fleet.config.FleetConfig.read_quorum`):
+``w = rf // 2 + 1`` and ``r = rf - w + 1``.
 
-* **all-replica** (``write_quorum = 0``, the historical default): the
-  client fans a put to the primary *and* every replica and acks only
-  when all of them responded; gets hit the primary alone.  Bit-
-  identical to the pre-quorum implementation.
-* **quorum** (``write_quorum = w > 0``): the client sends one put to
-  the key's primary, which stamps a per-key ``(epoch, seq)`` version,
-  applies locally, forwards ``replicate`` copies to the replicas, and
-  every participant acks *directly to the client*; the put commits at
-  ``w`` acks.  Gets fan out to all placement targets, commit at
-  ``read_quorum`` responses, return the highest version, and
-  *read-repair* every stale or silent target.  Placement targets that
-  missed a committed write get a *hinted handoff* queued on an acked
-  replica, drained into them when the partition heals.
+* **Writes**: the client sends one put/delete to the key's primary,
+  which stamps a per-key ``(epoch, seq)`` version, applies locally,
+  forwards ``replicate`` copies to the replicas, and every participant
+  acks *directly to the client*; the write commits at ``w`` acks.
+  Placement targets that missed a committed write get a *hinted
+  handoff* queued on an acked replica, drained into them when the
+  partition heals.
+* **Reads** fan out to all placement targets, commit at ``r``
+  responses, return the highest version, and *read-repair* every stale
+  or silent target.
+
+``w >= 2`` whenever ``rf >= 2``, so an acknowledged write survives any
+single machine failure; ``w + r > rf``, so every read intersects every
+committed write.
 
 Quorum epochs fence stale participants: the rack bumps ``ring_epoch``
 on every membership change and at each partition's controller side,
-servers adopt it, and a server always rejects a request from a *newer*
-epoch than its own (``stale_epoch``) -- so a fenced-out minority server
-can never acknowledge a write the majority won't see.  In quorum mode
-the guard is strict for writes: put/delete/replicate require exact
-epoch equality.
+servers adopt it, and a server rejects a request from a *newer* epoch
+than its own (``stale_epoch``) -- so a fenced-out minority server can
+never acknowledge a write the majority won't see.  Writes (put, delete,
+replicate) additionally require exact epoch equality, so a stale
+*client* cannot write either.
 
 Failover is timeout-driven on the client: a request that times out
 re-resolves placement against the (possibly shrunk) ring and retries,
@@ -51,7 +55,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..apps.kvs import HashTableStore
 from ..net.ethernet import EthernetLink, Frame
-from ..sim import AllOf, AnyOf, Event, Kernel, Timeout
+from ..sim import AnyOf, Kernel, Timeout
 from .errors import FleetError
 
 #: Modeled wire overhead of a KVS request/response header (op, txid,
@@ -60,6 +64,9 @@ REQUEST_HEADER_BYTES = 24
 
 #: The null per-key version: "never written".
 NO_VERSION: Tuple[int, int] = (0, 0)
+
+#: Ops that must carry exactly the server's epoch (the strict guard).
+_WRITE_OPS = ("put", "delete", "replicate")
 
 
 class FleetKvsError(FleetError):
@@ -91,10 +98,10 @@ class KvsRequest:
     """One operation in flight from the client to a shard server.
 
     ``epoch`` is the sender's quorum epoch (0 until it learns one);
-    ``version``/``replicas``/``hint_for``/``tombstone`` ride only on
-    the quorum-path ops (``replicate``, ``hint``, ``repair``) and stay
-    at their defaults -- contributing nothing to ``wire_bytes`` -- on
-    the classic put/get/delete path.
+    ``replicas`` rides on the client's put/delete to the primary, and
+    ``version``/``hint_for``/``tombstone`` on the server-to-server and
+    repair ops (``replicate``, ``hint``, ``repair``).  None of them
+    contributes to ``wire_bytes``.
     """
 
     op: str            # "put" | "get" | "delete" | "replicate" | "hint" | "repair"
@@ -119,8 +126,10 @@ class KvsResponse:
 
     ``epoch`` is the server's quorum epoch (clients adopt the max they
     see); ``version`` is the per-key ``(epoch, seq)`` stamp of the
-    value read or written; ``error`` names the rejection reason
-    (``"stale_epoch"``) when ``ok`` is False for protocol reasons.
+    value read or written.  ``error`` names why the server failed the
+    request (``"stale_epoch"``, ``"store_error"``, ``"unknown_op"``);
+    an answer without one was served, even when ``ok`` is False (a
+    delete of a missing key).
     """
 
     txid: int
@@ -155,7 +164,6 @@ class KvsShardServer:
         store: HashTableStore,
         service_ns: float,
         obs=None,
-        strict_epoch: bool = False,
     ):
         from ..obs import NULL_REGISTRY
 
@@ -165,8 +173,6 @@ class KvsShardServer:
         self.store = store
         self.service_ns = service_ns
         self.obs = obs if obs is not None else NULL_REGISTRY
-        #: Reject writes whose epoch is not exactly ours (quorum mode).
-        self.strict_epoch = strict_epoch
         self.address = f"{name}#kvs"
         self.alive = True
         #: This server's quorum epoch (monotone; rack fencing raises it).
@@ -319,14 +325,12 @@ class KvsShardServer:
         A request from a *newer* epoch than ours is always rejected: we
         are the stale party (fenced out of a membership change we have
         not seen) and must not acknowledge anything the current quorum
-        would miss.  In strict (quorum) mode, writes additionally
-        require exact equality, so a stale *client* cannot write either.
+        would miss.  Writes additionally require exact equality, so a
+        stale *client* cannot write either.
         """
-        if request.epoch > self.epoch:
-            return True
-        if self.strict_epoch and request.op in ("put", "delete", "replicate"):
+        if request.op in _WRITE_OPS:
             return request.epoch != self.epoch
-        return False
+        return request.epoch > self.epoch
 
     def _respond(self, request: KvsRequest, response: KvsResponse) -> None:
         self.link.send(
@@ -364,7 +368,7 @@ class KvsShardServer:
                     ),
                 )
             return
-        ok, value, version = True, None, NO_VERSION
+        ok, value, version, error = True, None, NO_VERSION, ""
         try:
             if request.op == "put":
                 version = self._stamp(request.key)
@@ -409,9 +413,9 @@ class KvsShardServer:
                 self.stats["served"] += 1
                 return
             else:
-                ok = False
+                ok, error = False, "unknown_op"
         except Exception:
-            ok = False
+            ok, error = False, "store_error"
             self.stats["errors"] += 1
         self.stats["served"] += 1
         if self.obs:
@@ -422,7 +426,7 @@ class KvsShardServer:
             request,
             KvsResponse(
                 request.txid, ok, value, self.name,
-                epoch=self.epoch, version=tuple(version),
+                epoch=self.epoch, version=tuple(version), error=error,
             ),
         )
 
@@ -460,15 +464,15 @@ class _QuorumWait:
     """Collects the fan-in of one quorum operation.
 
     Registered (possibly under several txids) in the client's waiter
-    map; *sticky*, so multiple responses reach it without the demux
-    popping the entry.  Fires its event with the list of ok responses
+    map, so multiple responses reach it without the demux popping the
+    entry.  Responses are classified by ``error``: an answer without one
+    counts toward the quorum even when ``ok`` is False (a delete of a
+    missing key).  Fires its event with the list of counted responses
     once ``need`` arrived, or with ``None`` once success is impossible
     (every expected response in and still short, or -- ``fail_fast`` --
     the first rejection, used by writes where any participant's
     ``stale_epoch`` means the attempt must re-resolve and retry).
     """
-
-    sticky = True
 
     def __init__(
         self,
@@ -489,10 +493,10 @@ class _QuorumWait:
         # Keep recording after the event fires: a write that committed
         # at ``need`` acks still wants to know which stragglers arrive
         # before the attempt deadline (they do NOT need a hint).
-        (self.oks if response.ok else self.rejects).append(response)
+        (self.rejects if response.error else self.oks).append(response)
         if self.event.fired:
             return
-        if response.ok:
+        if not response.error:
             if len(self.oks) >= self.need:
                 self.event.succeed(kernel, list(self.oks))
                 return
@@ -507,7 +511,7 @@ class _QuorumWait:
 
 
 class FleetKvsClient:
-    """The coordinator: placement, replication fan-out, failover retry.
+    """The coordinator: placement, quorum fan-in, failover retry.
 
     Methods are simulation processes (``yield from client.put(...)``
     inside a spawned process).  ``acked`` records every acknowledged
@@ -515,6 +519,13 @@ class FleetKvsClient:
     :attr:`history` to a :class:`repro.fleet.audit.HistoryRecorder` to
     capture the invocation/response history the linearizability auditor
     checks.
+
+    ``stats`` semantics: ``timeouts`` counts attempts the
+    :class:`Timeout` won, ``rejections`` attempts a server answered but
+    refused (``stale_epoch`` and other response errors), and
+    ``retries`` only attempts that another attempt followed.
+    ``quorum_rejects`` is kept for readers of older stats and is always
+    0; refusals count under ``rejections``.
     """
 
     def __init__(
@@ -533,9 +544,10 @@ class FleetKvsClient:
         self.obs = obs if obs is not None else NULL_REGISTRY
         self.address = f"{address}#kvs"
         self._txid = 0
-        self._waiters: Dict[int, object] = {}
+        self._waiters: Dict[int, _QuorumWait] = {}
         self.timeout_ns = rack.fleet.request_timeout_ns
         self.max_retries = rack.fleet.max_retries
+        #: Majority quorums, derived from the replication factor.
         self.write_quorum = rack.fleet.write_quorum
         self.read_quorum = rack.fleet.read_quorum
         self.hinted_handoff = rack.fleet.hinted_handoff
@@ -566,34 +578,14 @@ class FleetKvsClient:
         self.epoch = max(self.epoch, response.epoch)
         waiter = self._waiters.get(response.txid)
         if waiter is None:
-            # A straggler from a request we already timed out and retried.
+            # A straggler from an operation already decided or retried.
             self.stats["late_responses"] += 1
             return
-        if getattr(waiter, "sticky", False):
-            # Quorum fan-in: many responses share a txid (or a wait
-            # spans several); the op retires its txids when it's done.
-            waiter.on_response(self.kernel, response)
-        else:
-            del self._waiters[response.txid]
-            waiter.succeed(self.kernel, response)
+        # Many responses share a txid (or a wait spans several); the op
+        # retires its txids when it's done.
+        waiter.on_response(self.kernel, response)
 
-    def _send(self, machine: str, op: str, key: bytes, value: bytes) -> Event:
-        self._txid += 1
-        txid = self._txid
-        request = KvsRequest(op, key, value, txid, self.address, epoch=self.epoch)
-        waiter = self.kernel.event(f"kvs-tx{txid}")
-        self._waiters[txid] = waiter
-        self.link.send(
-            Frame(
-                src=self.address,
-                dst=f"{machine}#kvs",
-                payload=request,
-                size_bytes=request.wire_bytes,
-            )
-        )
-        return waiter
-
-    def _send_quorum(
+    def _request(
         self,
         machine: str,
         op: str,
@@ -652,6 +644,22 @@ class FleetKvsClient:
                 base=1.25,
             ).observe(elapsed_ns)
 
+    def _attempt_failed(self, answered: bool, attempt: int) -> None:
+        """Account one failed attempt.
+
+        An *answered* attempt that a server failed or rejected counts
+        under ``rejections``; only a real :class:`Timeout` win counts
+        under ``timeouts``.  ``retries`` increments only when another
+        attempt will actually run -- the final failed attempt of an
+        exhausted request is not a retry.
+        """
+        if answered:
+            self.stats["rejections"] += 1
+        else:
+            self.stats["timeouts"] += 1
+        if attempt < self.max_retries:
+            self.stats["retries"] += 1
+
     # -- history hooks (linearizability audit) -------------------------------
 
     def _hist_invoke(self, op: str, key: bytes, arg: Optional[bytes]):
@@ -670,114 +678,32 @@ class FleetKvsClient:
     # -- operations (simulation processes) -----------------------------------
 
     def put(self, key: bytes, value: bytes):
-        """Replicated write; acked at the configured write quorum
-        (default: every replica)."""
+        """Replicated write, acked at the write quorum.  Returns the
+        placement targets it was sent to."""
         self.rack.maybe_heal()
         op_id = self._hist_invoke("put", key, bytes(value))
-        if self.write_quorum:
-            result = yield from self._put_quorum(key, value, "put")
-        else:
-            result = yield from self._put_all(key, value)
+        targets, _ = yield from self._write(key, value, "put")
         self._hist_respond(op_id, True)
-        return result
+        return targets
 
     def get(self, key: bytes):
-        """Read: primary-only (default) or version-winning quorum."""
+        """Version-winning quorum read; None for a missing key."""
         self.rack.maybe_heal()
         op_id = self._hist_invoke("get", key, None)
-        if self.read_quorum:
-            value = yield from self._get_quorum(key)
-        else:
-            value = yield from self._get_primary(key)
+        value = yield from self._read(key)
         self._hist_respond(op_id, value)
         return value
 
     def delete(self, key: bytes):
-        """Replicated delete (same fan-out/ack rule as put)."""
+        """Replicated delete (same commit rule as put).  Returns the
+        primary's answer: False when the key was not there."""
         self.rack.maybe_heal()
         op_id = self._hist_invoke("delete", key, None)
-        if self.write_quorum:
-            yield from self._put_quorum(key, b"", "delete")
-            result = True
-        else:
-            result = yield from self._delete_all(key)
+        _, found = yield from self._write(key, b"", "delete")
         self._hist_respond(op_id, True)
-        return result
+        return found
 
-    # -- all-replica discipline (the historical default) ---------------------
-
-    def _attempt_failed(self, answered: bool, attempt: int) -> None:
-        """Account one failed attempt.
-
-        An *answered* attempt that a server failed or rejected counts
-        under ``rejections``; only a real :class:`Timeout` win counts
-        under ``timeouts``.  ``retries`` increments only when another
-        attempt will actually run -- the final failed attempt of an
-        exhausted request is not a retry.
-        """
-        if answered:
-            self.stats["rejections"] += 1
-        else:
-            self.stats["timeouts"] += 1
-        if attempt < self.max_retries:
-            self.stats["retries"] += 1
-
-    def _put_all(self, key: bytes, value: bytes):
-        start = self.kernel.now
-        for attempt in range(self.max_retries + 1):
-            targets = self.rack.ring.place(key)
-            waiters = [self._send(m, "put", key, value) for m in targets]
-            index, result = yield AnyOf([AllOf(waiters), Timeout(self.timeout_ns)])
-            if index == 0 and all(r.ok for r in result):
-                self.stats["puts_acked"] += 1
-                self.acked[bytes(key)] = bytes(value)
-                self._observe("put", targets[0], self.kernel.now - start)
-                return targets
-            self._retire(waiters)
-            self._attempt_failed(index == 0, attempt)
-        raise FleetKvsError(
-            f"put {key!r} unacked after {self.max_retries + 1} attempts"
-        )
-
-    def _get_primary(self, key: bytes):
-        start = self.kernel.now
-        for attempt in range(self.max_retries + 1):
-            primary = self.rack.ring.primary(key)
-            waiter = self._send(primary, "get", key, b"")
-            index, result = yield AnyOf([waiter, Timeout(self.timeout_ns)])
-            if index == 0 and result.ok:
-                self.stats["gets"] += 1
-                self._observe("get", primary, self.kernel.now - start)
-                return result.value
-            self._retire([waiter])
-            self._attempt_failed(index == 0, attempt)
-        raise FleetKvsError(
-            f"get {key!r} unanswered after {self.max_retries + 1} attempts"
-        )
-
-    def _delete_all(self, key: bytes):
-        start = self.kernel.now
-        for attempt in range(self.max_retries + 1):
-            targets = self.rack.ring.place(key)
-            waiters = [self._send(m, "delete", key, b"") for m in targets]
-            index, result = yield AnyOf([AllOf(waiters), Timeout(self.timeout_ns)])
-            # A delete may legitimately answer ok=False for a missing
-            # key (error stays empty); only a reply carrying a protocol
-            # error (e.g. "stale_epoch") fails the attempt.
-            if index == 0 and not any(r.error for r in result):
-                self.stats["deletes"] += 1
-                self.acked.pop(bytes(key), None)
-                self._observe("delete", targets[0], self.kernel.now - start)
-                return all(r.ok for r in result)
-            self._retire(waiters)
-            self._attempt_failed(index == 0, attempt)
-        raise FleetKvsError(
-            f"delete {key!r} unacked after {self.max_retries + 1} attempts"
-        )
-
-    # -- quorum discipline ----------------------------------------------------
-
-    def _put_quorum(self, key: bytes, value: bytes, op: str):
+    def _write(self, key: bytes, value: bytes, op: str):
         """Primary-coordinated write, committed at ``write_quorum`` acks.
 
         One request goes to the primary, which stamps the version and
@@ -785,6 +711,9 @@ class FleetKvsClient:
         of them ack directly to us under one txid.  Any ``stale_epoch``
         rejection fails the attempt fast (we adopt the newer epoch from
         the rejection and retry against re-resolved placement).
+
+        Returns ``(targets, found)``: ``found`` is False only when the
+        primary answered that a deleted key was missing.
         """
         start = self.kernel.now
         for attempt in range(self.max_retries + 1):
@@ -796,9 +725,7 @@ class FleetKvsClient:
                 fail_fast=True, name=f"kvs-q{op}",
             )
             sent_at = self.kernel.now
-            txid = self._send_quorum(
-                primary, op, key, value, wait, replicas=replicas
-            )
+            txid = self._request(primary, op, key, value, wait, replicas=replicas)
             index, result = yield AnyOf([wait.event, Timeout(self.timeout_ns)])
             if index == 0 and result is not None:
                 version = max(tuple(r.version) for r in result)
@@ -806,8 +733,8 @@ class FleetKvsClient:
                     # Committed short of the full replica set.  Do NOT
                     # hint yet: the stragglers may just be slow.  Hold
                     # the txid open until the attempt deadline (the
-                    # sticky wait keeps absorbing late acks) and hint
-                    # whoever is still silent then.
+                    # wait keeps absorbing late acks) and hint whoever
+                    # is still silent then.
                     self.kernel.call_at(
                         sent_at + self.timeout_ns,
                         lambda _: self._settle_hints(
@@ -815,7 +742,7 @@ class FleetKvsClient:
                         ),
                     )
                 else:
-                    self._retire_txids([txid])
+                    self._retire([txid])
                 if op == "put":
                     self.stats["puts_acked"] += 1
                     self.acked[bytes(key)] = bytes(value)
@@ -823,18 +750,12 @@ class FleetKvsClient:
                     self.stats["deletes"] += 1
                     self.acked.pop(bytes(key), None)
                 self._observe(op, primary, self.kernel.now - start)
-                return targets
-            self._retire_txids([txid])
-            if index == 0:
-                self.stats["quorum_rejects"] += 1
-            else:
-                self.stats["timeouts"] += 1
-            if attempt < self.max_retries:
-                self.stats["retries"] += 1
+                return targets, all(r.ok for r in result)
+            self._retire([txid])
+            self._attempt_failed(index == 0, attempt)
         raise FleetKvsError(
             f"{op} {key!r} unacked after {self.max_retries + 1} attempts"
         )
-
     def _settle_hints(
         self,
         txid: int,
@@ -854,7 +775,7 @@ class FleetKvsClient:
         the first acker.  A target that is reachable again by now (the
         window expired between commit and deadline) gets the write
         pushed directly instead, apply-iff-newer."""
-        self._retire_txids([txid])
+        self._retire([txid])
         acked = {r.machine for r in wait.oks}
         missing = [m for m in targets if m not in acked]
         if not missing or not wait.oks:
@@ -888,7 +809,7 @@ class FleetKvsClient:
             return True
         return target in self.rack._controller_side()
 
-    def _get_quorum(self, key: bytes):
+    def _read(self, key: bytes):
         """Version-winning read, committed at ``read_quorum`` responses.
 
         Every placement target is asked; the highest ``(epoch, seq)``
@@ -902,11 +823,9 @@ class FleetKvsClient:
             wait = _QuorumWait(
                 self.kernel, need, len(targets), name="kvs-qget"
             )
-            txids = [
-                self._send_quorum(m, "get", key, b"", wait) for m in targets
-            ]
+            txids = [self._request(m, "get", key, b"", wait) for m in targets]
             index, result = yield AnyOf([wait.event, Timeout(self.timeout_ns)])
-            self._retire_txids(txids)
+            self._retire(txids)
             if index == 0 and result is not None:
                 best = max(result, key=lambda r: tuple(r.version))
                 best_version = tuple(best.version)
@@ -915,12 +834,7 @@ class FleetKvsClient:
                 self.stats["gets"] += 1
                 self._observe("get", best.machine, self.kernel.now - start)
                 return best.value
-            if index == 0:
-                self.stats["quorum_rejects"] += 1
-            else:
-                self.stats["timeouts"] += 1
-            if attempt < self.max_retries:
-                self.stats["retries"] += 1
+            self._attempt_failed(index == 0, attempt)
         raise FleetKvsError(
             f"get {key!r} unanswered after {self.max_retries + 1} attempts"
         )
@@ -949,7 +863,7 @@ class FleetKvsClient:
     # waiters drained).  txid continuity matters: a restored client must
     # not reissue transaction ids a server may still answer.
 
-    SNAP_VERSION = 3
+    SNAP_VERSION = 4
 
     def snapshot_state(self) -> dict:
         if self._waiters:
@@ -987,17 +901,17 @@ class FleetKvsClient:
         # attempts were miscounted as timeouts).
         if version <= 2:
             state["stats"] = {"rejections": 0, **state["stats"]}
+        # v3 counted quorum-path refusals apart, under quorum_rejects.
+        if version <= 3:
+            stats = dict(state["stats"])
+            stats["rejections"] += stats.get("quorum_rejects", 0)
+            stats["quorum_rejects"] = 0
+            state["stats"] = stats
         return state
 
     # -- plumbing ------------------------------------------------------------
 
-    def _retire(self, waiters) -> None:
-        """Forget timed-out transactions so stragglers count as late."""
-        stale = {id(w) for w in waiters}
-        for txid in [t for t, w in self._waiters.items() if id(w) in stale]:
-            del self._waiters[txid]
-
-    def _retire_txids(self, txids) -> None:
+    def _retire(self, txids) -> None:
         """Forget a quorum op's transactions once the op is decided."""
         for txid in txids:
             self._waiters.pop(txid, None)

@@ -1,10 +1,9 @@
 """A rack of simulated Enzians behind one multi-port switch.
 
 :class:`Rack` is the fleet's composition root: from one
-:class:`repro.fleet.config.FleetConfig` it builds ``machines`` boards
--- each carrying a full :class:`repro.config.PlatformConfig` built from
-the named preset -- a star topology of per-board links into an
-output-queued :class:`repro.net.Switch`, a per-board
+:class:`repro.fleet.config.FleetConfig` it builds ``machines`` boards:
+a star topology of per-board links into an output-queued
+:class:`repro.net.Switch`, a per-board
 :class:`repro.fleet.kvs.KvsShardServer` over a local
 :class:`repro.apps.kvs.HashTableStore`, one
 :class:`repro.health.HealthStateMachine` per board, and the
@@ -34,10 +33,6 @@ evaluates the window lazily per frame, and :meth:`maybe_heal` -- called
 at every client operation and control-plane entry point -- performs the
 one-shot heal bookkeeping (re-fence everyone, drain hinted handoffs)
 the first time it runs past the window's end.
-
-The rack never imports :mod:`repro.config` at module scope (the config
-tree imports ``repro.fleet.config``); presets are resolved lazily at
-construction, mirroring :mod:`repro.health`.
 """
 
 from __future__ import annotations
@@ -60,37 +55,25 @@ class RackError(FleetError):
 
 
 class RackMachine:
-    """One board in the rack: config, port, shard, health."""
+    """One board in the rack: port, shard, health."""
 
     def __init__(
         self,
         name: str,
-        config,
         link: EthernetLink,
         store: HashTableStore,
         server: KvsShardServer,
         health: HealthStateMachine,
     ):
         self.name = name
-        self.config = config
         self.link = link
         self.store = store
         self.server = server
         self.health = health
-        self._board = None
 
     @property
     def alive(self) -> bool:
         return not self.health.wedged
-
-    def board(self):
-        """The full :class:`repro.platform.EnzianMachine` for this slot,
-        built lazily from the board's config tree."""
-        if self._board is None:
-            from ..platform import EnzianMachine
-
-            self._board = EnzianMachine(self.config)
-        return self._board
 
     def __repr__(self) -> str:
         return f"RackMachine({self.name!r}, {self.health.state.value})"
@@ -105,7 +88,6 @@ class Rack:
         kernel: Optional[Kernel] = None,
         obs=None,
     ):
-        from ..config import preset  # lazy: the config tree imports fleet.config
         from ..obs import NULL_REGISTRY
 
         if fleet is None:
@@ -132,17 +114,15 @@ class Rack:
         )
         self.machines: Dict[str, RackMachine] = {}
         for name in names:
-            config = preset(fleet.machine_preset)
             store = HashTableStore(n_slots=fleet.kvs_slots)
             server = KvsShardServer(
-                self.kernel, name, links[name], store, fleet.service_ns,
-                obs=obs, strict_epoch=fleet.write_quorum > 0,
+                self.kernel, name, links[name], store, fleet.service_ns, obs=obs
             )
             health = HealthStateMachine(
                 f"fleet.{name}", obs=obs, clock=lambda: self.kernel.now
             )
             self.machines[name] = RackMachine(
-                name, config, links[name], store, server, health
+                name, links[name], store, server, health
             )
         self.ring = HashRing(names, fleet.vnodes, fleet.replication_factor)
         self.failovers: list[Tuple[float, str, str]] = []
@@ -177,11 +157,15 @@ class Rack:
     # -- quorum epochs -------------------------------------------------------
 
     def _fence(self, names: Iterable[str]) -> None:
-        """Push the current ring epoch into the named live servers."""
+        """Push the current ring epoch into the named live servers (and
+        into their taps, so a recorded board replays the same fence)."""
         for name in names:
             machine = self.machines.get(name)
             if machine is not None and machine.alive:
                 machine.server.set_epoch(self.ring_epoch)
+                tap = self.taps.get(name)
+                if tap is not None:
+                    tap.control("epoch", epoch=self.ring_epoch)
 
     def _controller_side(self) -> Tuple[str, ...]:
         """The machines the controller can reach: everyone, or -- during

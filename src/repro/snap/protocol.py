@@ -39,9 +39,10 @@ import base64
 import json
 from typing import Any, Dict
 
-#: Version of the checkpoint *container* format (component payloads
-#: carry their own per-class versions).
-SNAP_SCHEMA = 1
+#: Version of the checkpoint *container* format, including the encoded
+#: FleetConfig it carries (component payloads carry their own per-class
+#: versions).
+SNAP_SCHEMA = 2
 
 
 class SnapshotError(RuntimeError):

@@ -3,7 +3,8 @@
 A :class:`MessageTap` sits on one board's switch boundary and records
 everything that crosses it: inbound frame deliveries (with their exact
 delivery times), outbound frame sends, and out-of-band control events
-(the supervisor black-holing the board's NIC).  Because a board's
+(the supervisor black-holing the board's NIC, the rack fencing its
+quorum epoch).  Because a board's
 behaviour is a pure function of its inbound messages and their times --
 boards make no RNG draws on the serving path -- the trace is sufficient
 to re-execute that one board *in isolation*, bit-identically, with
@@ -33,7 +34,7 @@ from ..sim import Kernel
 from .protocol import SnapshotError, from_jsonable, to_jsonable
 
 #: Trace document version (bump when the record shape changes).
-TRACE_VERSION = 1
+TRACE_VERSION = 2
 
 
 # -- payload codecs ---------------------------------------------------------
@@ -47,6 +48,11 @@ def encode_payload(payload: Any) -> Dict[str, Any]:
             "value": payload.value,
             "txid": payload.txid,
             "reply_to": payload.reply_to,
+            "epoch": payload.epoch,
+            "version": list(payload.version),
+            "replicas": list(payload.replicas),
+            "hint_for": payload.hint_for,
+            "tombstone": payload.tombstone,
         }
     if isinstance(payload, KvsResponse):
         return {
@@ -55,6 +61,9 @@ def encode_payload(payload: Any) -> Dict[str, Any]:
             "ok": payload.ok,
             "value": payload.value,
             "machine": payload.machine,
+            "epoch": payload.epoch,
+            "version": list(payload.version),
+            "error": payload.error,
         }
     if isinstance(payload, Segment):
         return {
@@ -75,10 +84,20 @@ def decode_payload(doc: Dict[str, Any]) -> Any:
     kind = doc.get("kind")
     if kind == "kvs_request":
         return KvsRequest(
-            doc["op"], doc["key"], doc["value"], doc["txid"], doc["reply_to"]
+            doc["op"], doc["key"], doc["value"], doc["txid"], doc["reply_to"],
+            epoch=doc["epoch"],
+            version=tuple(doc["version"]),
+            replicas=tuple(doc["replicas"]),
+            hint_for=doc["hint_for"],
+            tombstone=doc["tombstone"],
         )
     if kind == "kvs_response":
-        return KvsResponse(doc["txid"], doc["ok"], doc["value"], doc["machine"])
+        return KvsResponse(
+            doc["txid"], doc["ok"], doc["value"], doc["machine"],
+            epoch=doc["epoch"],
+            version=tuple(doc["version"]),
+            error=doc["error"],
+        )
     if kind == "segment":
         return Segment(doc["seg_kind"], doc["seq"], doc["data"])
     if kind == "bytes":
@@ -160,9 +179,10 @@ class MessageTap:
             )
         self.records.append(record)
 
-    def control(self, kind: str) -> None:
-        """Record an out-of-band liveness event ('down' / 'up')."""
-        self._record({"t": self.kernel.now, "dir": "ctl", "kind": kind})
+    def control(self, kind: str, **detail: Any) -> None:
+        """Record an out-of-band event: liveness ('down' / 'up') or a
+        quorum-epoch fence ('epoch', with ``epoch=``)."""
+        self._record({"t": self.kernel.now, "dir": "ctl", "kind": kind, **detail})
 
     # -- trace (de)serialization ------------------------------------------
 
@@ -221,7 +241,8 @@ def replay_board(
     Builds a fresh kernel, link (uplinked to a sink -- the rest of the
     rack does not exist here), store, and shard server exactly as the
     rack would, then injects every recorded inbound frame at its
-    recorded delivery time and applies recorded control events.  The
+    recorded delivery time and applies recorded control events
+    (liveness changes and epoch fences).  The
     board runs the same code against the same inputs at the same times,
     so its outbound frames, store contents, and metrics reproduce the
     rack run bit-for-bit.
@@ -263,6 +284,8 @@ def replay_board(
             server.down()
         elif record["kind"] == "up":
             server.up()
+        elif record["kind"] == "epoch":
+            server.set_epoch(record["epoch"])
 
     # Schedule the whole trace up front, in record order: records were
     # appended in execution order, so equal-time ties replay in their

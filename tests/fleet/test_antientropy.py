@@ -29,10 +29,7 @@ def _fleet(**overrides):
         enabled=True,
         machines=6,
         replication_factor=3,
-        write_quorum=2,
-        read_quorum=2,
         hinted_handoff=False,
-        machine_preset="bringup_4lane",
         seed=0xAE0B,
     )
     defaults.update(overrides)

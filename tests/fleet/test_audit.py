@@ -144,7 +144,7 @@ def test_real_fleet_history_passes_the_audit():
     rack = Rack(
         FleetConfig(
             enabled=True, machines=5, replication_factor=3,
-            write_quorum=2, read_quorum=2, seed=0xAD17,
+            seed=0xAD17,
         )
     )
     client = rack.client()

@@ -34,8 +34,6 @@ def _rack(**overrides):
         enabled=True,
         machines=6,
         replication_factor=3,
-        write_quorum=2,
-        read_quorum=2,
         seed=0xC0AD17,
     )
     defaults.update(overrides)

@@ -6,23 +6,27 @@ The contract these tests pin down:
   the race -- the server never answered.
 * ``rejections`` counts attempts the server *answered* but failed or
   rejected (e.g. ``stale_epoch`` fencing).  Historically these were
-  mislabeled as timeouts.
+  mislabeled as timeouts, and later split off under ``quorum_rejects``
+  (now always 0).
 * ``retries`` counts attempts that were actually followed by another
   attempt -- the final failed attempt of an exhausted request is not a
   retry, so an op that fails outright after ``max_retries + 1``
   attempts records exactly ``max_retries`` retries.
-* ``_get_primary`` must check ``result.ok``: an answered-but-failed
-  get (fenced by the epoch guard) is retried and ultimately raises --
-  it must not surface as a successful ``None`` read.
+* An answered-but-failed get (fenced by the epoch guard) is retried and
+  ultimately raises -- it must not surface as a successful ``None``
+  read.  An answered delete of a missing key is served, not refused.
 
-The fencing lever: a server rejects any request from a *newer* epoch
-than its own (it is the stale party).  Setting ``client.epoch`` ahead
-of the servers produces answered ``stale_epoch`` rejections on demand.
+The racks are ``rack_quorum`` fleets (rf=3: w=2, r=2).  The fencing
+lever: a server rejects any request from a *newer* epoch than its own
+(it is the stale party).  Setting ``client.epoch`` ahead of the servers
+produces answered ``stale_epoch`` rejections on demand.
 """
+
+from dataclasses import replace
 
 import pytest
 
-from repro.config import FleetConfig, preset
+from repro.config import preset
 from repro.fleet import FleetKvsError, Rack
 from repro.sim import Timeout
 
@@ -30,11 +34,7 @@ pytestmark = pytest.mark.fleet
 
 
 def _fleet(**overrides):
-    defaults = dict(
-        enabled=True, machines=4, replication_factor=2, seed=0xFEED
-    )
-    defaults.update(overrides)
-    return FleetConfig(**defaults)
+    return replace(preset("rack_quorum").fleet, seed=0xFEED, **overrides)
 
 
 def _fence_all(rack, epoch=1):
@@ -61,6 +61,7 @@ def test_put_rejections_count_as_rejections_not_timeouts():
 
     rack.kernel.run_process(workload())
     assert client.stats["rejections"] == 3
+    assert client.stats["quorum_rejects"] == 0
     assert client.stats["timeouts"] == 0
     assert client.stats["retries"] == 2
     assert client.stats["puts_acked"] == 0
@@ -113,7 +114,9 @@ def test_delete_rejections_count_as_rejections_not_timeouts():
 
 
 def test_delete_of_missing_key_is_not_a_rejection():
-    """ok=False with no error (benign delete miss) is a served answer."""
+    """ok=False with no error (benign delete miss) is a served answer:
+    it counts toward the write quorum, and delete returns the primary's
+    "not found"."""
     rack = Rack(_fleet())
     client = rack.client()
     outcome = {}
@@ -168,9 +171,10 @@ def test_exhausted_request_records_max_retries_not_one_more(op):
 
 
 def test_quorum_exhausted_request_records_max_retries():
-    """The quorum paths share the retry-accounting contract."""
+    """Writes and reads on one client share the retry-accounting
+    contract at the preset's own retry budget."""
     cfg = preset("rack_quorum").fleet
-    assert cfg.write_quorum and cfg.read_quorum
+    assert (cfg.write_quorum, cfg.read_quorum) == (2, 2)
     rack = Rack(cfg)
     client = rack.client()
     _down_all(rack)
@@ -187,16 +191,15 @@ def test_quorum_exhausted_request_records_max_retries():
     assert client.stats["rejections"] == 0
 
 
-# -- the _get_primary ok-check regression ----------------------------------
+# -- rejected reads ---------------------------------------------------------
 
 def test_rejected_get_is_not_returned_as_a_missing_key():
     """An answered-but-failed get must not surface as value=None.
 
-    Before the fix ``_get_primary`` returned ``result.value`` without
-    checking ``result.ok``, so the first ``stale_epoch`` rejection read
-    as "key missing" and counted as a successful get.  Fixed, the
-    fenced get retries and -- still fenced -- raises, with the
-    rejections accounted and nothing counted under ``gets``.
+    A ``stale_epoch`` rejection must never read as "key missing" or
+    count as a successful get: the fenced get retries and -- still
+    fenced -- raises, with the rejections accounted and nothing counted
+    under ``gets``.
     """
     rack = Rack(_fleet(max_retries=1))
     client = rack.client()
@@ -223,8 +226,8 @@ def test_rejected_get_is_not_returned_as_a_missing_key():
 
 
 def test_get_of_missing_key_still_returns_none():
-    """The ok-check must not break the benign miss: a get for a key
-    that was never written is served ok=True with value=None."""
+    """The benign miss still reads as None: a get for a key that was
+    never written is served ok=True with value=None."""
     rack = Rack(_fleet())
     client = rack.client()
     reads = {}

@@ -4,8 +4,8 @@ The scenario every assertion hangs off: an 8-put workload is in flight
 when a :class:`repro.faults.FaultInjector` fires a ``fleet.machine``
 kill against the machine that primaries the first key.  The rack's
 health machine moves to FAILED, :meth:`Rack.sync_health` promotes the
-first replica (removal *is* promotion on the ring), and -- because a
-put is acked only after *every* replica applied it -- no acknowledged
+first replica (removal *is* promotion on the ring), and -- because
+with rf=2 the derived write quorum is both replicas -- no acknowledged
 write is lost.  Running the whole scenario twice with the same seed
 must be bit-identical down to the metrics snapshot.
 """
@@ -21,9 +21,9 @@ from repro.obs.export import snapshot_jsonl
 pytestmark = pytest.mark.fleet
 
 # Chosen so a replicated put targeting the victim is *in flight* when
-# the kill fires: the fan-out times out, placement re-resolves against
+# the kill fires: the attempt times out, placement re-resolves against
 # the shrunk ring, and the retry lands on the promoted replica.
-KILL_AT_NS = 11_500.0
+KILL_AT_NS = 14_000.0
 
 
 def _fleet(**overrides):

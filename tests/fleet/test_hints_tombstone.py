@@ -27,8 +27,6 @@ def _rack(**overrides):
         enabled=True,
         machines=6,
         replication_factor=3,
-        write_quorum=2,
-        read_quorum=2,
         hinted_handoff=True,
         seed=0x70B5,
     )

@@ -30,8 +30,6 @@ def _fleet(**overrides):
         enabled=True,
         machines=6,
         replication_factor=3,
-        write_quorum=2,
-        read_quorum=2,
         seed=0x9A127,
     )
     defaults.update(overrides)

@@ -1,13 +1,13 @@
 """Quorum replication: versioned writes, quorum reads, epochs, repair.
 
-The quorum discipline (``write_quorum > 0``) changes who coordinates a
-write: the key's primary stamps a per-key ``(epoch, seq)`` version and
-fans ``replicate`` copies out, every participant acks directly to the
-client, and the put commits at ``w`` acks.  Reads consult all placement
-targets, commit at ``r`` responses, return the highest version, and
-read-repair stale copies.  These tests pin the protocol mechanics in
-isolation; the partition end-to-end scenarios live in
-``test_partition.py``.
+Every rack runs one protocol: the key's primary stamps a per-key
+``(epoch, seq)`` version and fans ``replicate`` copies out, every
+participant acks directly to the client, and the put commits at ``w``
+acks.  Reads consult all placement targets, commit at ``r`` responses,
+return the highest version, and read-repair stale copies.  ``w`` and
+``r`` are majorities derived from the replication factor.  These tests
+pin the protocol mechanics in isolation; the partition end-to-end
+scenarios live in ``test_partition.py``.
 """
 
 import pytest
@@ -25,8 +25,6 @@ def _fleet(**overrides):
         enabled=True,
         machines=5,
         replication_factor=3,
-        write_quorum=2,
-        read_quorum=2,
         seed=0xC0FE,
     )
     defaults.update(overrides)
@@ -39,37 +37,22 @@ def _rack(**overrides):
     return rack, rack.client(), obs
 
 
-# -- config validation -------------------------------------------------------
+# -- derived quorums ---------------------------------------------------------
 
-def test_write_quorum_must_be_majority():
-    with pytest.raises(ValueError, match="majority"):
-        FleetConfig(
-            enabled=True, machines=5, replication_factor=4,
-            write_quorum=2, read_quorum=3,
-        )
-
-
-def test_write_quorum_requires_read_quorum():
-    with pytest.raises(ValueError, match="read_quorum"):
-        FleetConfig(
-            enabled=True, machines=5, replication_factor=3, write_quorum=2
-        )
+@pytest.mark.parametrize(
+    "rf, w, r", [(1, 1, 1), (2, 2, 1), (3, 2, 2), (4, 3, 2), (5, 3, 3)]
+)
+def test_quorums_derive_from_replication_factor(rf, w, r):
+    cfg = FleetConfig(enabled=True, machines=5, replication_factor=rf)
+    assert (cfg.write_quorum, cfg.read_quorum) == (w, r)
+    # A strict write majority, and every read intersects every write.
+    assert 2 * cfg.write_quorum > rf
+    assert cfg.write_quorum + cfg.read_quorum > rf
 
 
-def test_quorums_must_intersect():
-    with pytest.raises(ValueError, match="intersect"):
-        FleetConfig(
-            enabled=True, machines=5, replication_factor=3,
-            write_quorum=2, read_quorum=1,
-        )
-
-
-def test_quorum_bounds():
-    with pytest.raises(ValueError, match="write_quorum"):
-        FleetConfig(
-            enabled=True, machines=5, replication_factor=3,
-            write_quorum=4, read_quorum=3,
-        )
+def test_quorums_are_not_settable():
+    with pytest.raises(TypeError):
+        FleetConfig(enabled=True, machines=5, replication_factor=3, write_quorum=2)
 
 
 # -- the happy path ----------------------------------------------------------
@@ -114,28 +97,6 @@ def test_quorum_delete_tombstones():
         # can never resurrect the deleted key via repair).
         assert rack.machines[m].server.versions[key] > NO_VERSION
     assert key not in client.acked
-
-
-def test_legacy_default_never_uses_quorum_machinery():
-    """write_quorum=0 (the default) must leave every quorum-path
-    counter at zero -- the historical all-replica protocol, bit-identical."""
-    rack, client, obs = _rack(write_quorum=0, read_quorum=0)
-
-    def workload():
-        for i in range(8):
-            yield from client.put(f"legacy-{i}".encode(), b"x")
-        for i in range(8):
-            yield from client.get(f"legacy-{i}".encode())
-
-    rack.kernel.run_process(workload())
-    assert client.stats["hints_sent"] == 0
-    assert client.stats["read_repairs"] == 0
-    assert client.stats["quorum_rejects"] == 0
-    for machine in rack.machines.values():
-        assert machine.server.stats["replicated"] == 0
-        assert machine.server.stats["hints_queued"] == 0
-        assert machine.server.stats["repairs_applied"] == 0
-        assert machine.server.stats["stale_epoch_rejects"] == 0
 
 
 # -- failover under quorum ---------------------------------------------------
@@ -186,7 +147,8 @@ def test_stale_client_write_is_rejected_then_retried():
 
     rack.kernel.run_process(workload())
     assert rack.machines[primary].server.stats["stale_epoch_rejects"] >= 1
-    assert client.stats["quorum_rejects"] >= 1
+    assert client.stats["rejections"] >= 1
+    assert client.stats["quorum_rejects"] == 0
     assert client.epoch == 3
     assert client.acked[key] == b"v"
 
@@ -213,8 +175,8 @@ def test_stale_server_never_acks_newer_epoch_write():
 
 
 def test_stale_epoch_get_rejected_too():
-    """Reads are fenced by the always-on guard (request newer than
-    server), independent of strict write fencing."""
+    """Reads are fenced too: a request from a newer epoch than the
+    server's is rejected whatever its op."""
     rack, client, obs = _rack(max_retries=0)
     key = b"q-stale-get"
     client.epoch = 7

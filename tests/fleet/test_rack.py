@@ -22,9 +22,7 @@ def test_rack_builds_from_fleet_config():
     assert rack.ring.machines == ("enzian0", "enzian1", "enzian2", "enzian3")
     assert set(rack.switch.ports) == set(rack.machines)
     assert rack.live_machines() == ("enzian0", "enzian1", "enzian2", "enzian3")
-    # Every board carries a full platform config from the named preset.
     for machine in rack.machines.values():
-        assert machine.config.preset == rack.fleet.machine_preset
         assert machine.alive
 
 
@@ -38,6 +36,7 @@ def test_rack8_preset_wires_the_fleet_section():
     assert cfg.fleet.enabled
     assert cfg.fleet.machines == 8
     assert cfg.fleet.replication_factor == 2
+    assert (cfg.fleet.write_quorum, cfg.fleet.read_quorum) == (2, 1)
     assert not cfg.deviations()
     rack = Rack(cfg.fleet)
     assert len(rack.machines) == 8

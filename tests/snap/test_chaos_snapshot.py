@@ -39,10 +39,7 @@ def _build():
             enabled=True,
             machines=6,
             replication_factor=3,
-            write_quorum=2,
-            read_quorum=2,
             hinted_handoff=False,
-            machine_preset="bringup_4lane",
             seed=0xC4A0,
         ),
         obs=obs,

@@ -31,8 +31,6 @@ def _build():
             enabled=True,
             machines=6,
             replication_factor=3,
-            write_quorum=2,
-            read_quorum=2,
             seed=0x51AB,
         ),
         obs=obs,

@@ -9,10 +9,11 @@ store arena, server stats, and the board's observability series.
 
 import os
 import sys
+from dataclasses import replace
 
 import pytest
 
-from repro.config import FleetConfig
+from repro.config import FleetConfig, preset
 from repro.fleet import Rack
 from repro.obs import MetricsRegistry
 from repro.obs.export import snapshot_jsonl
@@ -110,3 +111,28 @@ def test_recording_does_not_perturb_the_run():
         return snapshot_jsonl(obs)
 
     assert run(record=False) == run(record=True)
+
+
+def test_quorum_rack_boards_replay_bit_identically():
+    """Quorum traffic carries epochs, versions, replica lists and
+    tombstones, and a kill fences the survivors to a new epoch: the
+    trace must carry all of it, through a JSONL round-trip, for every
+    board of a ``rack_quorum`` soak to replay bit-identically."""
+    fleet = replace(preset("rack_quorum").fleet, seed=12)
+    rack = Rack(fleet)
+    taps = attach_taps(rack)
+    soak = FleetSoak(rack, [rack.client("client0")], ops_per_epoch=24)
+    soak.run(2)
+    rack.kill("enzian2")
+    soak.run(2)
+
+    assert soak.errors == 0
+    for name, tap in taps.items():
+        _, records = trace_from_jsonl(tap.to_jsonl())
+        board, outbound = replay_board(records, fleet, name)
+        original = rack.machines[name]
+        assert outbound == [r for r in records if r["dir"] == "out"], name
+        assert board["server"].stats == original.server.stats, name
+        assert board["server"].epoch == original.server.epoch, name
+        assert board["server"].versions == original.server.versions, name
+        assert bytes(board["store"].arena) == bytes(original.store.arena), name

@@ -59,8 +59,6 @@ def _kill_run(seed=0xFA11, **gateway_kw):
         dict(
             machines=4,
             replication_factor=3,
-            write_quorum=2,
-            read_quorum=2,
             max_retries=0,
         ),
         dict(
@@ -173,8 +171,6 @@ def _partition_run(retry_budget, retry_limit=2):
         dict(
             machines=6,
             replication_factor=3,
-            write_quorum=2,
-            read_quorum=2,
             hinted_handoff=False,
         ),
         dict(
@@ -377,8 +373,6 @@ def _breaker_run(**gateway_kw):
         dict(
             machines=4,
             replication_factor=3,
-            write_quorum=2,
-            read_quorum=2,
             max_retries=0,
         ),
         dict(

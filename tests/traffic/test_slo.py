@@ -23,8 +23,6 @@ FLEET = FleetConfig(
     enabled=True,
     machines=4,
     replication_factor=3,
-    write_quorum=2,
-    read_quorum=2,
     seed=0xA11C,
 )
 
