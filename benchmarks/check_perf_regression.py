@@ -1,4 +1,5 @@
-"""CI gate: fail when a bench regresses >25% against the committed baseline.
+"""CI gate: fail when a bench regresses >25% against the committed baseline,
+or when its simulated outcome drifts at all.
 
 Usage::
 
@@ -15,6 +16,12 @@ A bench fails when::
 
 ``--min-ratio`` defaults to 0.75 (the >25% regression threshold) and can
 be overridden via the ``BENCH_MIN_RATIO`` environment variable.
+
+A bench's ``sim`` block is the simulated outcome of its pinned-seed
+workload, so it has no noise: every field must equal the committed
+baseline exactly, and a drift names the bench and the field.  Quick
+workloads have other sizes, so the ``sim`` check is skipped under
+``--quick`` (and for a ``--fresh`` document measured with it).
 """
 
 from __future__ import annotations
@@ -52,6 +59,26 @@ def check(baseline: dict, fresh_benches: dict, fresh_cal: float, min_ratio: floa
     return failures
 
 
+def check_sim(baseline: dict, fresh_benches: dict):
+    """Exact gate on every committed ``sim`` block, field by field."""
+    failures = []
+    compared = 0
+    for name, committed in sorted(baseline["benches"].items()):
+        fresh = fresh_benches.get(name)
+        if "sim" not in committed or fresh is None:
+            continue  # a missing bench is already a rate-gate failure
+        want, got = committed["sim"], fresh.get("sim", {})
+        for field in sorted(set(want) | set(got)):
+            compared += 1
+            if want.get(field) != got.get(field):
+                failures.append(
+                    f"{name}: sim.{field} drifted: committed {want.get(field)!r}, "
+                    f"fresh {got.get(field)!r}"
+                )
+    print(f"sim blocks: {compared - len(failures)}/{compared} fields identical")
+    return failures
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--baseline", default="BENCH_perf.json")
@@ -78,11 +105,13 @@ def main(argv=None) -> int:
             f"warning: baseline was measured with seed {meta.get('seed')!r}, "
             f"this tree benches with seed {perfkit.BENCH_SEED} -- workloads differ"
         )
+    quick = args.quick
     if args.fresh:
         with open(args.fresh) as fh:
             fresh = json.load(fh)
         fresh_benches = fresh["benches"]
         fresh_cal = fresh["calibration"]["rate"]
+        quick = quick or fresh.get("generated_by", "").endswith("--quick")
     elif args.quick:
         # Quick workloads have different sizes; rates stay comparable
         # because every bench reports a per-operation rate.
@@ -93,12 +122,17 @@ def main(argv=None) -> int:
         fresh_cal = perfkit.calibrate()["rate"]
 
     failures = check(baseline, fresh_benches, fresh_cal, args.min_ratio)
+    if quick:
+        print("sim blocks: not compared (quick workloads have other sizes)")
+    else:
+        failures += check_sim(baseline, fresh_benches)
     if failures:
         print("\nperformance regression gate FAILED:", file=sys.stderr)
         for failure in failures:
             print(f"  - {failure}", file=sys.stderr)
         return 1
-    print(f"\nall benches within {(1 - args.min_ratio) * 100:.0f}% of baseline")
+    print(f"\nall benches within {(1 - args.min_ratio) * 100:.0f}% of baseline"
+          + ("" if quick else ", every sim block identical"))
     return 0
 
 

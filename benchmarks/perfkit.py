@@ -202,28 +202,6 @@ def bench_eci_link_flits(flits: int = 20_000, repeats: int = 3) -> dict:
     return out
 
 
-def bench_fig7_tcp_wall(repeats: int = 5) -> dict:
-    """End-to-end fig7 TCP sweep wall time (macro bench over examples)."""
-    from repro.config import preset
-    from repro.net import FpgaTcpStack, LinuxTcpStack
-
-    sizes = [2**i * 1000 for i in range(1, 11)]
-    cfg = preset("full")
-
-    def work():
-        fpga = FpgaTcpStack.from_config(cfg)
-        linux = LinuxTcpStack.from_config(cfg)
-        for size in sizes:
-            fpga.one_way_latency_ns(size)
-            linux.one_way_latency_ns(size)
-            fpga.throughput_gbps(size)
-            linux.throughput_gbps(size)
-
-    out = _best_rate(work, len(sizes), repeats)
-    out["unit"] = "sweeps: sizes/s"
-    return out
-
-
 def bench_fleet_quorum_put(ops: int = 600, repeats: int = 3) -> dict:
     """Quorum-path KVS throughput on the ``rack_quorum`` fleet.
 
@@ -396,7 +374,6 @@ BENCHES = {
     "kernel_timeout_procs": bench_kernel_timeout_procs,
     "eci_serialization": bench_eci_serialization,
     "eci_link_flits": bench_eci_link_flits,
-    "fig7_tcp_wall": bench_fig7_tcp_wall,
     "fleet_quorum_put": bench_fleet_quorum_put,
     "traffic_kvs_mix": bench_traffic_kvs_mix,
     "antientropy_sync": bench_antientropy_sync,

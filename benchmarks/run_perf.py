@@ -36,7 +36,6 @@ PRE_PR_BASELINE = {
     "kernel_timeout_procs": {"rate": 768_520, "unit": "events/s"},
     "eci_serialization": {"rate": 236_364, "unit": "msgs/s"},
     "eci_link_flits": {"rate": 159_490, "unit": "flits/s"},
-    "fig7_tcp_wall": {"rate": 417_868, "unit": "sweeps: sizes/s"},
 }
 
 QUICK_SIZES = {
@@ -44,7 +43,6 @@ QUICK_SIZES = {
     "kernel_timeout_procs": {"procs": 50, "steps": 100},
     "eci_serialization": {"messages": 2_000},
     "eci_link_flits": {"flits": 2_000},
-    "fig7_tcp_wall": {"repeats": 2},
     "fleet_quorum_put": {"ops": 100, "repeats": 2},
     "traffic_kvs_mix": {"duration_ms": 0.5, "repeats": 2},
     "antientropy_sync": {"keys": 300, "divergent": 30, "repeats": 2},

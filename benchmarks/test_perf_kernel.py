@@ -24,7 +24,6 @@ SMOKE_SIZES = {
     "kernel_timeout_procs": {"procs": 10, "steps": 20, "repeats": 1},
     "eci_serialization": {"messages": 500, "repeats": 1},
     "eci_link_flits": {"flits": 500, "repeats": 1},
-    "fig7_tcp_wall": {"repeats": 1},
     "fleet_quorum_put": {"ops": 40, "repeats": 1},
     "traffic_kvs_mix": {"duration_ms": 0.2, "repeats": 1},
     "antientropy_sync": {"keys": 120, "divergent": 12, "repeats": 1},
@@ -59,6 +58,43 @@ def test_antientropy_bench_sim_counts_are_deterministic():
     assert a == b
     assert a["dropped"] == 12
     assert a["repairs_applied_per_pass"] == 12
+
+
+def test_sim_gate_names_the_drifted_bench_and_field():
+    from check_perf_regression import check_sim
+
+    baseline = {
+        "benches": {
+            "a": {"rate": 1.0, "sim": {"p50_ns": 1.0, "offered": 3}},
+            "b": {"rate": 1.0},
+        }
+    }
+    same = {"a": {"sim": {"p50_ns": 1.0, "offered": 3}}, "b": {}}
+    assert check_sim(baseline, same) == []
+    drifted = {"a": {"sim": {"p50_ns": 1.5, "offered": 3}}, "b": {}}
+    assert check_sim(baseline, drifted) == [
+        "a: sim.p50_ns drifted: committed 1.0, fresh 1.5"
+    ]
+
+
+def test_committed_sim_blocks_reproduce():
+    """Every ``sim`` block in BENCH_perf.json is the exact outcome of its
+    pinned-seed workload at the committed (full) size."""
+    import json
+    import os
+
+    from check_perf_regression import check_sim
+
+    path = os.path.join(os.path.dirname(__file__), "..", "BENCH_perf.json")
+    with open(path) as fh:
+        baseline = json.load(fh)
+    fresh = {
+        name: perfkit.BENCHES[name](repeats=1)
+        for name, bench in baseline["benches"].items()
+        if "sim" in bench
+    }
+    assert fresh, "the baseline names no deterministic sim block"
+    assert check_sim(baseline, fresh) == []
 
 
 def test_calibration_reports_sane_rate():

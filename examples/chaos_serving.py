@@ -31,6 +31,9 @@ The run proves, at a fixed seed:
 5. durability -- every acked write is still readable afterwards;
 6. determinism -- the whole scenario reproduces bit-for-bit.
 
+The text output also reports the simulator's own speed: host seconds
+per simulated second of the serving run.
+
 Run:  python examples/chaos_serving.py [--seed N] [--json]
 """
 
@@ -38,6 +41,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from dataclasses import replace
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -126,8 +130,9 @@ def _chaos_config(seed: int):
     return fleet, traffic, faults
 
 
-def run_scenario(seed: int) -> dict:
-    """One full chaos-serving scenario; returns the canonical result."""
+def run_scenario(seed: int):
+    """One full chaos-serving scenario; returns the canonical result and
+    the host seconds the serving run took."""
     fleet, traffic, faults = _chaos_config(seed)
     obs = MetricsRegistry()
     rack = Rack(fleet, obs=obs)
@@ -143,7 +148,9 @@ def run_scenario(seed: int) -> dict:
     # attributable to anti-entropy alone rather than to read repair.
     scheduler.start(until_ns=SPLIT_AT_NS)
 
+    started = time.perf_counter()
     report = engine.run()
+    host_s = time.perf_counter() - started
     rack.maybe_heal()
 
     # 1. Conservation: every offered request accounted for exactly once,
@@ -218,7 +225,7 @@ def run_scenario(seed: int) -> dict:
         "acked_keys": len(acked_keys),
     }
     report["snapshot"] = snapshot_jsonl(obs)
-    return report
+    return report, host_s
 
 
 def main() -> None:
@@ -232,7 +239,7 @@ def main() -> None:
     )
     args = parser.parse_args()
 
-    result = run_scenario(args.seed)
+    result, host_s = run_scenario(args.seed)
 
     if args.json:
         print(json.dumps(result, sort_keys=True))
@@ -263,6 +270,11 @@ def main() -> None:
                 f"p99={s['p99_ns']:>9.0f} slo={s['slo_ns']:>7.0f} "
                 f"{'met' if s['met'] else 'VIOLATED'}"
             )
+    sim_s = result["t_final_ns"] / 1e9
+    print(
+        f"  simulator: {host_s / sim_s:.1f} host s per simulated s "
+        f"({sim_s * 1e3:.2f} ms simulated in {host_s:.2f} s)"
+    )
     print(
         f"audit: {chaos['audit']['ops']} ops from {len(chaos['clients'])} "
         f"clients, max_concurrency={chaos['max_concurrency']}, "
@@ -277,7 +289,7 @@ def main() -> None:
     )
 
     # 6. Determinism: the whole chaos scenario reproduces bit-for-bit.
-    again = run_scenario(args.seed)
+    again, _ = run_scenario(args.seed)
     assert json.dumps(again, sort_keys=True) == json.dumps(
         result, sort_keys=True
     ), "chaos scenario was not deterministic"

@@ -21,7 +21,9 @@ The scenario runs **twice** from the same seed:
 Both runs come from the same kernel-owned RNG stream, so the arrival
 trace is identical -- the only variable is the gateway policy.  The
 same seed always reproduces both runs bit for bit; ``--json`` prints
-the canonical document the CI determinism smoke diffs.
+the canonical document the CI determinism smoke diffs.  The text output
+also reports the simulator's own speed: host seconds per simulated
+second of each run.
 
 Run:  python examples/traffic_slo.py [--seed N] [--json]
 """
@@ -30,6 +32,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from dataclasses import replace
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -41,8 +44,9 @@ from repro.obs.export import snapshot_jsonl
 from repro.traffic import TrafficEngine
 
 
-def run_scenario(seed: int, admission: bool) -> dict:
-    """One full serving scenario; returns the canonical result."""
+def run_scenario(seed: int, admission: bool):
+    """One full serving scenario; returns the canonical result and the
+    host seconds its simulation took."""
     cfg = preset("rack_traffic")
     fleet = cfg.fleet if seed == cfg.fleet.seed else replace(cfg.fleet, seed=seed)
     traffic = cfg.traffic
@@ -52,7 +56,9 @@ def run_scenario(seed: int, admission: bool) -> dict:
     obs = MetricsRegistry()
     rack = Rack(fleet, obs=obs)
     engine = TrafficEngine(rack, traffic, obs=obs)
+    started = time.perf_counter()
     report = engine.run()
+    host_s = time.perf_counter() - started
 
     gateway = report["gateway"]
     # Conservation: every offered request is accounted for exactly once.
@@ -66,7 +72,7 @@ def run_scenario(seed: int, admission: bool) -> dict:
 
     report["seed"] = seed
     report["snapshot"] = snapshot_jsonl(obs)
-    return report
+    return report, host_s
 
 
 def flash_met(report: dict) -> dict:
@@ -77,9 +83,10 @@ def flash_met(report: dict) -> dict:
     }
 
 
-def run_both(seed: int) -> dict:
-    protected = run_scenario(seed, admission=True)
-    unprotected = run_scenario(seed, admission=False)
+def run_both(seed: int):
+    """Both runs: the canonical result, and each run's host seconds."""
+    protected, protected_s = run_scenario(seed, admission=True)
+    unprotected, unprotected_s = run_scenario(seed, admission=False)
 
     # Same seed, same arrival trace: the offered load is identical.
     assert protected["gateway"]["offered"] == unprotected["gateway"]["offered"]
@@ -96,7 +103,8 @@ def run_both(seed: int) -> dict:
     assert protected["gateway"]["rejected_throttled"] > 0, (
         "admission control never engaged"
     )
-    return {"protected": protected, "unprotected": unprotected}
+    result = {"protected": protected, "unprotected": unprotected}
+    return result, {"protected": protected_s, "unprotected": unprotected_s}
 
 
 def main() -> None:
@@ -108,7 +116,7 @@ def main() -> None:
     )
     args = parser.parse_args()
 
-    result = run_both(args.seed)
+    result, host_s = run_both(args.seed)
 
     if args.json:
         print(json.dumps(result, sort_keys=True))
@@ -143,9 +151,14 @@ def main() -> None:
                     f"attain={s['attainment'] * 100:6.2f}%  "
                     f"{'met' if s['met'] else 'VIOLATED'}"
                 )
+        sim_s = report["t_final_ns"] / 1e9
+        print(
+            f"  simulator: {host_s[label] / sim_s:.1f} host s per simulated s "
+            f"({sim_s * 1e3:.2f} ms simulated in {host_s[label]:.2f} s)"
+        )
 
     # Determinism: the whole double scenario reproduces bit-for-bit.
-    again = run_both(args.seed)
+    again, _ = run_both(args.seed)
     assert json.dumps(again, sort_keys=True) == json.dumps(result, sort_keys=True), (
         "traffic scenario was not deterministic"
     )

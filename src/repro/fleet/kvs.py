@@ -185,6 +185,12 @@ class KvsShardServer:
         self.aborted: List[KvsRequestAborted] = []
         self._service_seq = 0
         self._in_service: Dict[int, KvsRequest] = {}
+        self._obs_stale_epoch = self.obs.family(
+            "counter", "fleet_stale_epoch_rejects_total", ("machine",)
+        )
+        self._obs_ops = self.obs.family(
+            "counter", "fleet_kvs_ops_total", ("machine", "op")
+        )
         self.stats = {
             "served": 0,
             "dropped_dead": 0,
@@ -356,9 +362,7 @@ class KvsShardServer:
         if self._stale_epoch(request):
             self.stats["stale_epoch_rejects"] += 1
             if self.obs:
-                self.obs.counter(
-                    "fleet_stale_epoch_rejects_total", {"machine": self.name}
-                ).inc()
+                self._obs_stale_epoch.labels(self.name).inc()
             if request.op not in ("hint", "repair"):
                 self._respond(
                     request,
@@ -419,9 +423,7 @@ class KvsShardServer:
             self.stats["errors"] += 1
         self.stats["served"] += 1
         if self.obs:
-            self.obs.counter(
-                "fleet_kvs_ops_total", {"machine": self.name, "op": request.op}
-            ).inc()
+            self._obs_ops.labels(self.name, request.op).inc()
         self._respond(
             request,
             KvsResponse(
@@ -557,6 +559,12 @@ class FleetKvsClient:
         self.history = None
         #: Acknowledged writes: key -> value (the durability ledger).
         self.acked: Dict[bytes, bytes] = {}
+        family = self.obs.family
+        self._obs_latency = family(
+            "histogram", "fleet_request_latency_ns", ("op", "machine"), base=1.25
+        )
+        self._obs_hints_sent = family("counter", "fleet_hints_sent_total")
+        self._obs_read_repairs = family("counter", "fleet_read_repairs_total")
         self.stats = {
             "puts_acked": 0,
             "gets": 0,
@@ -638,11 +646,7 @@ class FleetKvsClient:
 
     def _observe(self, op: str, machine: str, elapsed_ns: float) -> None:
         if self.obs:
-            self.obs.histogram(
-                "fleet_request_latency_ns",
-                {"op": op, "machine": machine},
-                base=1.25,
-            ).observe(elapsed_ns)
+            self._obs_latency.labels(op, machine).observe(elapsed_ns)
 
     def _attempt_failed(self, answered: bool, attempt: int) -> None:
         """Account one failed attempt.
@@ -797,7 +801,7 @@ class FleetKvsClient:
                 self.stats["hints_sent"] += 1
                 hinted += 1
         if hinted and self.obs:
-            self.obs.counter("fleet_hints_sent_total").inc(hinted)
+            self._obs_hints_sent.labels().inc(hinted)
 
     def _target_reachable(self, target: str) -> bool:
         """Can a frame from this client reach ``target`` right now?
@@ -854,7 +858,7 @@ class FleetKvsClient:
         if stale:
             self.stats["read_repairs"] += len(stale)
             if self.obs:
-                self.obs.counter("fleet_read_repairs_total").inc(len(stale))
+                self._obs_read_repairs.labels().inc(len(stale))
 
     # -- checkpoint/restore (repro.snap) ---------------------------------
     #

@@ -73,6 +73,9 @@ class Switch:
         #: ``start_ns``, ``until_ns`` (None = until cleared).
         self._partition: Optional[dict] = None
         self._group_of: Dict[str, int] = {}
+        self._obs_partition_drops = self.obs.family(
+            "counter", "fleet_partition_drops_total", ("src_group", "dst_group")
+        )
         self.stats = {"forwarded": 0, "dropped_unknown": 0, "dropped_partitioned": 0}
 
     def connect(self, link: EthernetLink, host_address: str) -> None:
@@ -179,12 +182,8 @@ class Switch:
                 # occupancy -- intra-group flows never feel the loss.
                 self.stats["dropped_partitioned"] += 1
                 if self.obs:
-                    self.obs.counter(
-                        "fleet_partition_drops_total",
-                        {
-                            "src_group": str(self._group_of.get(src_host, 0)),
-                            "dst_group": str(self._group_of.get(host, 0)),
-                        },
+                    self._obs_partition_drops.labels(
+                        self._group_of.get(src_host, 0), self._group_of.get(host, 0)
                     ).inc()
                 return
         self.stats["forwarded"] += 1

@@ -29,6 +29,7 @@ from .metrics import (
     NULL_INSTRUMENT,
     NULL_REGISTRY,
     Counter,
+    Family,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -41,6 +42,7 @@ from .tracer import NULL_SPAN, NullTracer, Span, Tracer
 
 __all__ = [
     "Counter",
+    "Family",
     "Gauge",
     "Histogram",
     "MetricsRegistry",

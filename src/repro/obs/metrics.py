@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 LabelsKey = Tuple[Tuple[str, str], ...]
@@ -77,7 +78,9 @@ class Instrument:
         return dict(self.labels_key)
 
     def _emit(self, value: float) -> None:
-        self._registry._record(self.kind, self.name, self.labels_key, value)
+        registry = self._registry
+        if registry.record_events:
+            registry._record(self.kind, self.name, self.labels_key, value)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r}, {self.labels})"
@@ -167,6 +170,41 @@ class Histogram(Instrument):
         return self.sum / self.count if self.count else 0.0
 
 
+class Family:
+    """A prebound handle on one metric family: a kind, a name and the
+    names of its labels.
+
+    ``labels(*values)`` resolves one series through a per-handle memo,
+    so a hot call site pays a dict hit instead of building and sorting a
+    label key on every update.  Resolution is lazy: binding registers
+    nothing, and a series enters the registry when a call site first
+    updates it, exactly as with ``registry.counter(name, labels)``.
+    :meth:`MetricsRegistry.restore_state` clears every memo, so a handle
+    bound before a restore counts into the restored series.
+    """
+
+    __slots__ = ("name", "label_names", "_factory", "_memo")
+
+    def __init__(self, factory: Callable[..., Instrument], name: str,
+                 label_names: Tuple[str, ...]):
+        self.name = name
+        self.label_names = label_names
+        self._factory = factory
+        self._memo: Dict[tuple, Instrument] = {}
+
+    def labels(self, *values) -> Instrument:
+        """The series for these label values, in ``label_names`` order."""
+        instrument = self._memo.get(values)
+        if instrument is None:
+            instrument = self._memo[values] = self._factory(
+                self.name, dict(zip(self.label_names, values))
+            )
+        return instrument
+
+    def __repr__(self) -> str:
+        return f"Family({self.name!r}, {self.label_names})"
+
+
 class MetricsRegistry:
     """Instrument factory, event log, and tracer root for one system.
 
@@ -189,6 +227,7 @@ class MetricsRegistry:
         self.dropped_events = 0
         self.events: List[ObsEvent] = []
         self._instruments: Dict[Tuple[str, LabelsKey], Instrument] = {}
+        self._families: Dict[tuple, Family] = {}
         # Imported here to avoid a cycle at module load time.
         from .tracer import Tracer
 
@@ -232,6 +271,22 @@ class MetricsRegistry:
     def histogram(self, name: str, labels: Optional[Mapping] = None,
                   help: str = "", base: float = 2.0) -> Histogram:
         return self._get(Histogram, name, labels, help, base=base)
+
+    def family(self, kind: str, name: str, label_names: Tuple[str, ...] = (),
+               help: str = "", base: float = 2.0) -> Family:
+        """A :class:`Family` handle for hot call sites (one per family:
+        binding the same family twice returns the same handle)."""
+        key = (kind, name, tuple(label_names), help, base)
+        handle = self._families.get(key)
+        if handle is None:
+            if kind == "histogram":
+                factory = partial(self.histogram, help=help, base=base)
+            elif kind in ("counter", "gauge"):
+                factory = partial(getattr(self, kind), help=help)
+            else:
+                raise ObsError(f"unknown instrument kind {kind!r}")
+            handle = self._families[key] = Family(factory, name, key[2])
+        return handle
 
     # -- introspection ----------------------------------------------------
 
@@ -313,6 +368,9 @@ class MetricsRegistry:
 
     def restore_state(self, state: dict) -> None:
         self._instruments = {}
+        # Handles re-resolve against the restored instruments.
+        for handle in self._families.values():
+            handle._memo.clear()
         factories = {
             "counter": self.counter,
             "gauge": self.gauge,
@@ -384,6 +442,21 @@ class _NullInstrument:
 NULL_INSTRUMENT = _NullInstrument()
 
 
+class _NullFamily:
+    """Shared no-op family handle: every series is :data:`NULL_INSTRUMENT`."""
+
+    __slots__ = ()
+
+    def labels(self, *values) -> _NullInstrument:
+        return NULL_INSTRUMENT
+
+    def __bool__(self) -> bool:
+        return False
+
+
+NULL_FAMILY = _NullFamily()
+
+
 class NullRegistry:
     """Falsy registry handing out shared no-op instruments.
 
@@ -415,6 +488,9 @@ class NullRegistry:
 
     def histogram(self, name, labels=None, help="", base: float = 2.0) -> _NullInstrument:
         return NULL_INSTRUMENT
+
+    def family(self, kind, name, label_names=(), help="", base: float = 2.0) -> _NullFamily:
+        return NULL_FAMILY
 
     def metrics(self):
         return iter(())

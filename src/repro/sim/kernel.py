@@ -114,7 +114,8 @@ class Timeout(Awaitable):
     __slots__ = ("delay", "value")
 
     def __init__(self, delay: float, value: Any = None):
-        if delay < 0:
+        # Written so that NaN fails too: a NaN time would break the heap.
+        if not delay >= 0:
             raise ValueError(f"negative timeout delay: {delay}")
         self.delay = float(delay)
         self.value = value
@@ -410,7 +411,7 @@ class Kernel:
 
     def call_at(self, when: float, callback: Callable[[Any], None], value: Any = None) -> None:
         """Schedule ``callback(value)`` at absolute time ``when`` (ns)."""
-        if when < self.now:
+        if not when >= self.now:  # NaN fails too
             raise SimulationError(f"cannot schedule in the past: {when} < {self.now}")
         seq = self._seq
         self._seq = seq + 1

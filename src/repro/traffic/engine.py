@@ -130,8 +130,9 @@ class TrafficEngine:
         """Run the scenario to drain and return the SLO report.
 
         The kernel's queue empties once arrivals stop and every
-        admitted request completes (idle gateway workers park on an
-        unfired event, so they do not hold the simulation open).
+        admitted request completes (idle gateway workers wait in the
+        gateway's FIFO with no kernel event pending, so they do not hold
+        the simulation open).
         """
         self.start()
         self.kernel.run()

@@ -39,11 +39,11 @@ additionally counted per reason).
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..fleet.kvs import FleetKvsError
 from ..health import CircuitBreaker
-from ..sim import AnyOf, Kernel, Timeout
+from ..sim import AnyOf, Awaitable, Kernel, Timeout
 from .classes import Request
 from .config import GatewayConfig
 
@@ -137,6 +137,23 @@ class LruCache:
         self._entries.pop(key, None)
 
 
+class _IdleWorkers(Awaitable):
+    """Where idle backend workers wait: a FIFO of resume callbacks.
+
+    A worker that finds the queue empty yields this and stays parked
+    until a dispatch event (:meth:`Gateway._dispatch`) or a batch-window
+    timer resumes it, inline, with the batch it is to run.
+    """
+
+    __slots__ = ("waiting",)
+
+    def __init__(self):
+        self.waiting: List[Callable] = []
+
+    def _subscribe(self, kernel: Kernel, callback: Callable) -> None:
+        self.waiting.append(callback)
+
+
 class Gateway:
     """Admission control + batching + cache in front of the rack."""
 
@@ -157,7 +174,7 @@ class Gateway:
         self.cache = LruCache(config.cache_slots)
         self.rejections: List[AdmissionRejected] = []
         self._queue: "deque[Request]" = deque()
-        self._wake = kernel.event("gateway-wake")
+        self._idle = _IdleWorkers()
         #: Retry-budget tokens (accrue per admitted request, spent 1/retry).
         self.retry_tokens = 0.0
         #: Per-backend-shard circuit breakers (keyed by machine name),
@@ -177,6 +194,21 @@ class Gateway:
                 )
                 for name in rack.fleet.machine_names()
             }
+        family = self.obs.family
+        self._obs_offered = family("counter", "traffic_offered_total", ("class",))
+        self._obs_rejections = family(
+            "counter", "traffic_rejections_total", ("reason", "class")
+        )
+        self._obs_queue_depth = family("gauge", "traffic_queue_depth")
+        self._obs_retries = family("counter", "traffic_retries_total", ("class",))
+        self._obs_errors = family(
+            "counter", "traffic_errors_total", ("class", "reason")
+        )
+        self._obs_hedges = family("counter", "traffic_hedges_total", ("class",))
+        self._obs_hedge_wins = family("counter", "traffic_hedge_wins_total")
+        self._obs_latency = family(
+            "histogram", LATENCY_METRIC, ("class", "phase"), base=1.25
+        )
         self.stats = {
             "offered": 0,
             "admitted": 0,
@@ -202,9 +234,7 @@ class Gateway:
         (cache hit or admitted to the backend queue)."""
         self.stats["offered"] += 1
         if self.obs:
-            self.obs.counter(
-                "traffic_offered_total", {"class": request.cls.kind}
-            ).inc()
+            self._obs_offered.labels(request.cls.kind).inc()
         if request.cls.cacheable and self.config.cache_slots:
             if self.cache.lookup(request.key) is not None:
                 self.stats["cache_hits"] += 1
@@ -229,9 +259,9 @@ class Gateway:
         depth = len(self._queue)
         if depth > self.stats["max_queue_depth"]:
             self.stats["max_queue_depth"] = depth
-        if not self._wake.fired:
-            wake, self._wake = self._wake, self.kernel.event("gateway-wake")
-            wake.succeed(self.kernel)
+        if self._idle.waiting:
+            woken, self._idle.waiting = self._idle.waiting, []
+            self.kernel.call_at(self.kernel.now, self._dispatch, woken)
         return True
 
     def _reject(self, request: Request, reason: str) -> None:
@@ -249,46 +279,90 @@ class Gateway:
                 AdmissionRejected(reason, request.cls.kind, self.kernel.now)
             )
         if self.obs:
-            self.obs.counter(
-                "traffic_rejections_total",
-                {"reason": reason, "class": request.cls.kind},
-            ).inc()
+            self._obs_rejections.labels(reason, request.cls.kind).inc()
         if request.done is not None:
             request.done.succeed(self.kernel, request)
 
     # -- backend workers -----------------------------------------------------
+    #
+    # Idle workers wait in a FIFO.  A submit that finds any schedules one
+    # dispatch event at ``now``, which walks the FIFO in order and does
+    # exactly what each worker would have done had it been woken on its
+    # own: take a batch and resume inline, join one shared batch-window
+    # timer, or stay idle.  The timer hands out batches to its group in
+    # the same order.  This is exact, not approximate: k separately
+    # woken workers would have resumed in a contiguous run of k events
+    # at ``now`` (consecutive sequence numbers, so nothing can
+    # interleave), and the window timers they arm form a contiguous run
+    # at ``now + batch_window_ns`` in the same way.  Collapsing each run
+    # into one event leaves the order of every other event unchanged.
 
     def worker(self, index: int):
         """One backend worker process: drain the queue in batches.
 
-        Spawned by the engine (``workers`` of them); parks on the wake
-        event while the queue is empty, so a finished scenario leaves
-        the workers idle and the kernel's queue drained.
+        Spawned by the engine (``workers`` of them); parks in the idle
+        FIFO while the queue is empty, so a finished scenario leaves the
+        workers idle and the kernel's queue drained.
         """
         config = self.config
+        queue = self._queue
         # Service-only gateways (no KVS classes in the mix) need no clients.
         client = self.clients[index % len(self.clients)] if self.clients else None
         while True:
-            if not self._queue:
-                yield self._wake
-                continue
-            if len(self._queue) < config.batch_max and config.batch_window_ns > 0:
-                # Short batch: wait briefly for it to fill under load.
-                yield Timeout(config.batch_window_ns)
-            batch = []
-            take = min(config.batch_max, len(self._queue))
-            for _ in range(take):
-                batch.append(self._queue.popleft())
-            if not batch:
-                continue
-            self.stats["batches"] += 1
-            self.stats["batched_requests"] += len(batch)
-            if self.obs:
-                self.obs.gauge("traffic_queue_depth").set(len(self._queue))
+            if not queue:
+                batch = yield self._idle
+            else:
+                if self._short_batch():
+                    # Short batch: wait briefly for it to fill under load.
+                    yield Timeout(config.batch_window_ns)
+                    if not queue:
+                        continue
+                batch = self._take_batch()
             if config.batch_overhead_ns > 0:
                 yield Timeout(config.batch_overhead_ns)
             for request in batch:
                 yield from self._execute(request, client)
+
+    def _short_batch(self) -> bool:
+        """Should a worker wait for the queued batch to fill?"""
+        config = self.config
+        return len(self._queue) < config.batch_max and config.batch_window_ns > 0
+
+    def _take_batch(self) -> List[Request]:
+        """Pop the next batch (up to ``batch_max``) off a non-empty queue."""
+        queue = self._queue
+        batch = [queue.popleft() for _ in range(min(self.config.batch_max, len(queue)))]
+        self.stats["batches"] += 1
+        self.stats["batched_requests"] += len(batch)
+        if self.obs:
+            self._obs_queue_depth.labels().set(len(queue))
+        return batch
+
+    def _dispatch(self, woken: List[Callable]) -> None:
+        """The dispatch event: hand the queue to the woken workers in
+        FIFO order."""
+        group = None
+        for resume in woken:
+            if not self._queue:
+                self._idle.waiting.append(resume)
+            elif self._short_batch():
+                if group is None:
+                    group = []
+                    self.kernel.call_after(
+                        self.config.batch_window_ns, self._window_closed, group
+                    )
+                group.append(resume)
+            else:
+                resume(self._take_batch())
+
+    def _window_closed(self, group: List[Callable]) -> None:
+        """The shared batch-window timer: each worker in the group, in
+        order, takes what has queued up or goes back to idle."""
+        for resume in group:
+            if self._queue:
+                resume(self._take_batch())
+            else:
+                self._idle.waiting.append(resume)
 
     def _breaker_for(self, request: Request):
         """The breaker guarding this request's backend shard, if any.
@@ -351,9 +425,7 @@ class Gateway:
                     attempts += 1
                     self.stats["retries"] += 1
                     if self.obs:
-                        self.obs.counter(
-                            "traffic_retries_total", {"class": kind}
-                        ).inc()
+                        self._obs_retries.labels(kind).inc()
                     continue
                 self._fail(request, "backend")
                 return
@@ -366,10 +438,7 @@ class Gateway:
         self.stats["errors"] += 1
         request.outcome = "error"
         if self.obs:
-            self.obs.counter(
-                "traffic_errors_total",
-                {"class": request.cls.kind, "reason": reason},
-            ).inc()
+            self._obs_errors.labels(request.cls.kind, reason).inc()
         if request.done is not None:
             request.done.succeed(self.kernel, request)
 
@@ -407,9 +476,7 @@ class Gateway:
             return payload
         self.stats["hedges"] += 1
         if self.obs:
-            self.obs.counter(
-                "traffic_hedges_total", {"class": request.cls.kind}
-            ).inc()
+            self._obs_hedges.labels(request.cls.kind).inc()
         hedge_client = self.clients[
             (self.clients.index(client) + 1) % len(self.clients)
         ]
@@ -422,7 +489,7 @@ class Gateway:
             if index == 1:
                 self.stats["hedge_wins"] += 1
                 if self.obs:
-                    self.obs.counter("traffic_hedge_wins_total").inc()
+                    self._obs_hedge_wins.labels().inc()
             return payload
         # The finisher failed; the other leg may still succeed.
         other = second if index == 0 else first
@@ -431,7 +498,7 @@ class Gateway:
             if other is second:
                 self.stats["hedge_wins"] += 1
                 if self.obs:
-                    self.obs.counter("traffic_hedge_wins_total").inc()
+                    self._obs_hedge_wins.labels().inc()
             return payload
         raise payload
 
@@ -440,11 +507,9 @@ class Gateway:
             request.outcome = "served"
         self.stats["completed"] += 1
         if self.obs:
-            self.obs.histogram(
-                LATENCY_METRIC,
-                {"class": request.cls.kind, "phase": request.phase},
-                base=1.25,
-            ).observe(self.kernel.now - request.submitted_ns)
+            self._obs_latency.labels(request.cls.kind, request.phase).observe(
+                self.kernel.now - request.submitted_ns
+            )
         if request.done is not None:
             request.done.succeed(self.kernel, request)
 

@@ -1,7 +1,7 @@
-"""Regression tests for kernel scheduling bugs fixed in the hot-path pass.
+"""Regression tests for kernel scheduling bugs.
 
-Three historical bugs, each pinned by a test that fails on the
-pre-optimization kernel:
+Four historical bugs, each pinned by a test that fails on the kernel
+before its fix:
 
 1. ``Process.interrupt()`` left the awaitable's subscription armed, so
    the abandoned timeout/event/channel-op later resumed the process a
@@ -14,6 +14,9 @@ pre-optimization kernel:
    list grew per race), and ``Kernel.run``'s ``max_events`` check was
    off by one (``executed > max_events`` after dispatch permitted
    ``max_events + 1`` callbacks).
+4. A NaN time passed both guards (``delay < 0`` in ``Timeout``,
+   ``when < now`` in ``Kernel.call_at``); the NaN entry broke the heap
+   order, so events ran out of time order and ``now`` became NaN.
 """
 
 import pytest
@@ -254,3 +257,39 @@ def test_max_events_budget_spans_fast_loop_chunks():
     with pytest.raises(SimulationError):
         k.run(max_events=total)
     assert count[0] == total
+
+
+# -- bug 4: NaN times are rejected ----------------------------------------
+
+
+def test_nan_timeout_delay_raises():
+    with pytest.raises(ValueError):
+        Timeout(float("nan"))
+    with pytest.raises(ValueError):
+        Kernel().timeout(float("nan"))
+
+
+def test_nan_call_at_raises_and_time_order_holds():
+    k = Kernel()
+    log = []
+    for when, name in ((30.0, "a"), (10.0, "b"), (20.0, "c")):
+        k.call_at(when, log.append, (when, name))
+    # Accepted, the NaN entry ran out of order:
+    # [(10, 'b'), (20, 'c'), (nan, 'nan'), (30, 'a')].
+    with pytest.raises(SimulationError):
+        k.call_at(float("nan"), log.append, (float("nan"), "nan"))
+    with pytest.raises(SimulationError):
+        k.call_after(float("nan"), log.append, (float("nan"), "nan"))
+    k.run()
+    assert log == [(10.0, "b"), (20.0, "c"), (30.0, "a")]
+    assert k.now == 30.0
+
+
+def test_process_yielding_a_nan_timeout_fails_loudly():
+    k = Kernel()
+
+    def sleeper():
+        yield Timeout(float("nan"))
+
+    with pytest.raises(ValueError):
+        k.run_process(sleeper())

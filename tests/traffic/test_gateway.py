@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import FleetConfig
-from repro.fleet import Rack
+from repro.fleet import HistoryRecorder, Rack
 from repro.sim import Kernel
 from repro.traffic import (
     Gateway,
@@ -210,3 +210,118 @@ def test_put_write_through_serves_the_next_get_from_cache():
     assert get.outcome == "cache_hit"
     assert gateway.stats["cache_hits"] == 1
     assert client.stats["gets"] == 0, "cache hit must not touch the backend"
+
+
+# -- worker dispatch order -------------------------------------------------
+
+def _dispatch_scenario(arrivals, workers=3):
+    """Submit ``arrivals`` ([(t_ns, key), ...]) as KVS puts to a rack-backed
+    gateway with ``workers`` parked workers (one client port each,
+    ``batch_max=2``, a 1 us batch window).  Returns
+    ``{key: (completion_ns, client_port)}``."""
+    fleet = FleetConfig(enabled=True, machines=3, replication_factor=1, seed=5)
+    rack = Rack(fleet)
+    kernel = rack.kernel
+    clients = [rack.client(f"gw{i}") for i in range(workers)]
+    recorder = HistoryRecorder(lambda: kernel.now)
+    for client in clients:
+        recorder.attach(client)
+    config = GatewayConfig(
+        workers=workers, batch_max=2, batch_window_ns=1_000.0,
+        batch_overhead_ns=100.0, cache_slots=0, admission=False,
+    )
+    gateway = Gateway(kernel, config, clients=clients)
+    for i in range(workers):
+        kernel.spawn(gateway.worker(i), name=f"worker{i}")
+    put = {c.kind: c for c in build_classes(TrafficConfig(enabled=True))}["kvs_put"]
+    completed = {}
+
+    def watch(request):
+        yield request.done
+        completed[request.key] = kernel.now
+
+    def arrive(key):
+        request = Request(put, key, b"v", "steady", kernel.now, done=kernel.event())
+        kernel.spawn(watch(request))
+        gateway.submit(request)
+
+    for t_ns, key in arrivals:
+        kernel.call_at(t_ns, arrive, key)
+    kernel.run()
+    assert gateway.stats["completed"] == len(arrivals)
+    port = {op.key: op.client for op in recorder.ops}
+    return {key: (completed[key], port[key]) for _, key in arrivals}
+
+
+def test_dispatch_one_arrival_into_idle_pool():
+    # Every parked worker sees a short batch and joins the window; when
+    # it closes, the first in FIFO order takes the request.
+    assert _dispatch_scenario([(1_000.0, b"k0")]) == {
+        b"k0": (5620.32, "gw0#kvs"),
+    }
+
+
+def test_dispatch_burst_larger_than_batch_max():
+    # Two full batches go out at once; the odd request waits out the
+    # window on the third worker.
+    burst = [(1_000.0, b"b%d" % i) for i in range(5)]
+    assert _dispatch_scenario(burst) == {
+        b"b0": (4620.320000000001, "gw0#kvs"),
+        b"b1": (8140.64, "gw0#kvs"),
+        b"b2": (4625.52, "gw1#kvs"),
+        b"b3": (8145.84, "gw1#kvs"),
+        b"b4": (5620.32, "gw2#kvs"),
+    }
+
+
+def test_dispatch_arrivals_while_a_window_is_open():
+    # Later arrivals find no idle worker and queue behind the open
+    # window; when it closes the group hands out one full batch and
+    # one short one, in FIFO order.
+    arrivals = [(1_000.0, b"w0"), (1_400.0, b"w1"), (1_700.0, b"w2")]
+    assert _dispatch_scenario(arrivals) == {
+        b"w0": (5620.32, "gw0#kvs"),
+        b"w1": (9140.64, "gw0#kvs"),
+        b"w2": (5620.32, "gw1#kvs"),
+    }
+
+
+def test_dispatch_worker_finishing_into_a_short_queue():
+    # All three workers are busy when f6 arrives.  gw0 and gw2 finish
+    # at the same instant; gw0 finishes first in event order, finds a
+    # short queue and waits out its own window before taking f6.
+    arrivals = [(1_000.0, b"f%d" % i) for i in range(6)] + [(1_500.0, b"f6")]
+    assert _dispatch_scenario(arrivals) == {
+        b"f0": (4620.320000000001, "gw0#kvs"),
+        b"f1": (8140.64, "gw0#kvs"),
+        b"f2": (4625.52, "gw1#kvs"),
+        b"f3": (8145.84, "gw1#kvs"),
+        b"f4": (4620.320000000001, "gw2#kvs"),
+        b"f5": (8140.64, "gw2#kvs"),
+        b"f6": (12760.96, "gw0#kvs"),
+    }
+
+
+@pytest.mark.parametrize("window_ns", [0.0, 2_000.0])
+def test_events_per_submit_do_not_grow_with_idle_workers(window_ns):
+    """One submit into an idle pool costs the same number of kernel
+    events however many workers are parked: one dispatch event (plus,
+    with a window, one shared timer), not one wake-up per worker."""
+
+    def events_for_one_submit(workers):
+        kernel = Kernel(seed=1)
+        gateway, classes = _service_gateway(
+            kernel, workers=workers, batch_max=2, batch_window_ns=window_ns,
+            cache_slots=0,
+        )
+        for i in range(workers):
+            kernel.spawn(gateway.worker(i), name=f"worker{i}")
+        kernel.run()
+        before = kernel.snapshot_state()["seq"]
+        gateway.submit(_request(kernel, classes["gbdt"]))
+        kernel.run()
+        assert gateway.stats["completed"] == 1
+        return kernel.snapshot_state()["seq"] - before
+
+    counts = [events_for_one_submit(w) for w in (1, 4, 32)]
+    assert counts[0] == counts[1] == counts[2], counts
