@@ -30,7 +30,8 @@ class KvError(RuntimeError):
 
 
 class HashTableStore:
-    """Open-addressing hash table in a flat byte arena (FPGA DRAM)."""
+    """Open-addressing hash table in a flat byte arena (FPGA DRAM),
+    with a ``key -> slot`` index of the live entries next to it."""
 
     def __init__(self, n_slots: int = 4096):
         if n_slots < 8:
@@ -39,6 +40,9 @@ class HashTableStore:
         self.arena = bytearray(n_slots * SLOT_BYTES)
         self.items = 0
         self.stats = {"probes": 0, "gets": 0, "puts": 0, "deletes": 0}
+        #: key -> slot of every live entry, derived from the arena; a hit
+        #: is one dict lookup.
+        self._index: dict[bytes, int] = {}
 
     def _hash(self, key: bytes) -> int:
         return zlib.crc32(key) % self.n_slots
@@ -62,67 +66,73 @@ class HashTableStore:
             MAX_VALUE_BYTES, b"\0"
         )
 
-    def _validate(self, key: bytes, value: Optional[bytes] = None) -> None:
+    def _validate(self, key: bytes, value: Optional[bytes] = None) -> bytes:
+        """Check sizes; return the key as ``bytes`` (the index's key type)."""
         if not key or len(key) > MAX_KEY_BYTES:
             raise KvError(f"key must be 1..{MAX_KEY_BYTES} bytes")
         if value is not None and len(value) > MAX_VALUE_BYTES:
             raise KvError(f"value must be <= {MAX_VALUE_BYTES} bytes")
+        return bytes(key)
 
     # -- operations -------------------------------------------------------------
+    #
+    # ``stats["probes"]`` counts what the linear probe walk would: a hit
+    # costs ``(slot - crc32(key)) % n + 1``, as no slot between a key's
+    # home and its live slot is ever empty (only clear() empties slots).
+    # A miss walks the slot state bytes to the first empty slot.
 
-    def put(self, key: bytes, value: bytes) -> None:
-        self._validate(key, value)
-        self.stats["puts"] += 1
-        first_tombstone = None
+    def _miss(self, key: bytes) -> Optional[int]:
+        """Count a missing key's probe walk; return the slot a put would
+        take (the first tombstone, else the empty slot ending the walk),
+        or None when the table is full."""
+        arena, n = self.arena, self.n_slots
         index = self._hash(key)
-        for _ in range(self.n_slots):
-            self.stats["probes"] += 1
-            state, slot_key, _ = self._slot(index)
-            if state == _FULL and slot_key == key:
-                self._write_slot(index, _FULL, key, value)
-                return
+        first_tombstone = None
+        for probes in range(1, n + 1):
+            state = arena[index * SLOT_BYTES]
+            if state == _EMPTY:
+                self.stats["probes"] += probes
+                return index if first_tombstone is None else first_tombstone
             if state == _TOMBSTONE and first_tombstone is None:
                 first_tombstone = index
-            if state == _EMPTY:
-                target = first_tombstone if first_tombstone is not None else index
-                self._write_slot(target, _FULL, key, value)
-                self.items += 1
-                return
-            index = (index + 1) % self.n_slots
-        if first_tombstone is not None:
-            self._write_slot(first_tombstone, _FULL, key, value)
-            self.items += 1
+            index = (index + 1) % n
+        self.stats["probes"] += n
+        return first_tombstone
+
+    def put(self, key: bytes, value: bytes) -> None:
+        key = self._validate(key, value)
+        self.stats["puts"] += 1
+        slot = self._index.get(key)
+        if slot is not None:
+            self.stats["probes"] += (slot - zlib.crc32(key)) % self.n_slots + 1
+            self._write_slot(slot, _FULL, key, value)
             return
-        raise KvError("table full")
+        slot = self._miss(key)
+        if slot is None:
+            raise KvError("table full")
+        self._write_slot(slot, _FULL, key, value)
+        self._index[key] = slot
+        self.items += 1
 
     def get(self, key: bytes) -> Optional[bytes]:
-        self._validate(key)
+        key = self._validate(key)
         self.stats["gets"] += 1
-        index = self._hash(key)
-        for _ in range(self.n_slots):
-            self.stats["probes"] += 1
-            state, slot_key, value = self._slot(index)
-            if state == _EMPTY:
-                return None
-            if state == _FULL and slot_key == key:
-                return value
-            index = (index + 1) % self.n_slots
-        return None
+        slot = self._index.get(key)
+        if slot is None:
+            self._miss(key)
+            return None
+        self.stats["probes"] += (slot - zlib.crc32(key)) % self.n_slots + 1
+        return self._slot(slot)[2]
 
     def delete(self, key: bytes) -> bool:
-        self._validate(key)
+        key = self._validate(key)
         self.stats["deletes"] += 1
-        index = self._hash(key)
-        for _ in range(self.n_slots):
-            state, slot_key, _ = self._slot(index)
-            if state == _EMPTY:
-                return False
-            if state == _FULL and slot_key == key:
-                self._write_slot(index, _TOMBSTONE, b"", b"")
-                self.items -= 1
-                return True
-            index = (index + 1) % self.n_slots
-        return False
+        slot = self._index.pop(key, None)
+        if slot is None:
+            return False
+        self._write_slot(slot, _TOMBSTONE, b"", b"")
+        self.items -= 1
+        return True
 
     def atomic_add(self, key: bytes, delta: int) -> int:
         """Fetch-and-add on an 8-byte counter value (KV-Direct's
@@ -152,6 +162,7 @@ class HashTableStore:
         """Wipe the arena (a rejoining board comes back empty)."""
         self.arena = bytearray(self.n_slots * SLOT_BYTES)
         self.items = 0
+        self._index = {}
 
     # -- checkpoint/restore (repro.snap) ---------------------------------
     #
@@ -177,6 +188,8 @@ class HashTableStore:
         self.arena = bytearray(state["arena"])
         self.items = state["items"]
         self.stats.update(state["stats"])
+        slots = (self._slot(index) + (index,) for index in range(self.n_slots))
+        self._index = {key: index for state, key, _, index in slots if state == _FULL}
 
 
 @dataclass(frozen=True)

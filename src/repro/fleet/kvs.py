@@ -50,12 +50,12 @@ rack-level percentiles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..apps.kvs import HashTableStore
 from ..net.ethernet import EthernetLink, Frame
-from ..sim import AnyOf, Kernel, Timeout
+from ..sim import Awaitable, Kernel
 from .errors import FleetError
 
 #: Modeled wire overhead of a KVS request/response header (op, txid,
@@ -93,7 +93,7 @@ class KvsRequestAborted(FleetKvsError):
         self.reply_to = reply_to
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, slots=True, unsafe_hash=True)
 class KvsRequest:
     """One operation in flight from the client to a shard server.
 
@@ -101,7 +101,8 @@ class KvsRequest:
     ``replicas`` rides on the client's put/delete to the primary, and
     ``version``/``hint_for``/``tombstone`` on the server-to-server and
     repair ops (``replicate``, ``hint``, ``repair``).  None of them
-    contributes to ``wire_bytes``.
+    contributes to ``wire_bytes``, which is computed once, here.
+    Nothing mutates a request after construction.
     """
 
     op: str            # "put" | "get" | "delete" | "replicate" | "hint" | "repair"
@@ -114,13 +115,26 @@ class KvsRequest:
     replicas: Tuple[str, ...] = ()
     hint_for: str = ""
     tombstone: bool = False
+    wire_bytes: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def wire_bytes(self) -> int:
-        return REQUEST_HEADER_BYTES + len(self.key) + len(self.value)
+    def __init__(self, op: str, key: bytes, value: bytes, txid: int, reply_to: str,
+                 epoch: int = 0, version: Tuple[int, int] = NO_VERSION,
+                 replicas: Tuple[str, ...] = (), hint_for: str = "",
+                 tombstone: bool = False):
+        self.op = op
+        self.key = key
+        self.value = value
+        self.txid = txid
+        self.reply_to = reply_to
+        self.epoch = epoch
+        self.version = version
+        self.replicas = replicas
+        self.hint_for = hint_for
+        self.tombstone = tombstone
+        self.wire_bytes = REQUEST_HEADER_BYTES + len(key) + len(value)
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, slots=True, unsafe_hash=True)
 class KvsResponse:
     """A shard server's answer, carrying the serving machine's name.
 
@@ -129,7 +143,8 @@ class KvsResponse:
     value read or written.  ``error`` names why the server failed the
     request (``"stale_epoch"``, ``"store_error"``, ``"unknown_op"``);
     an answer without one was served, even when ``ok`` is False (a
-    delete of a missing key).
+    delete of a missing key).  Slotted and never mutated, like
+    :class:`KvsRequest`.
     """
 
     txid: int
@@ -139,10 +154,18 @@ class KvsResponse:
     epoch: int = 0
     version: Tuple[int, int] = NO_VERSION
     error: str = ""
+    wire_bytes: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def wire_bytes(self) -> int:
-        return REQUEST_HEADER_BYTES + (len(self.value) if self.value else 0)
+    def __init__(self, txid: int, ok: bool, value: Optional[bytes], machine: str,
+                 epoch: int = 0, version: Tuple[int, int] = NO_VERSION, error: str = ""):
+        self.txid = txid
+        self.ok = ok
+        self.value = value
+        self.machine = machine
+        self.epoch = epoch
+        self.version = version
+        self.error = error
+        self.wire_bytes = REQUEST_HEADER_BYTES + (len(value) if value else 0)
 
 
 class KvsShardServer:
@@ -339,14 +362,7 @@ class KvsShardServer:
         return request.epoch > self.epoch
 
     def _respond(self, request: KvsRequest, response: KvsResponse) -> None:
-        self.link.send(
-            Frame(
-                src=self.address,
-                dst=request.reply_to,
-                payload=response,
-                size_bytes=response.wire_bytes,
-            )
-        )
+        self.link.send(Frame(self.address, request.reply_to, response, response.wire_bytes))
 
     def _stamp(self, key: bytes) -> Tuple[int, int]:
         """Mint the next (epoch, seq) version for a key we coordinate."""
@@ -452,64 +468,71 @@ class KvsShardServer:
             version=version,
             tombstone=(request.op == "delete"),
         )
-        self.link.send(
-            Frame(
-                src=self.address,
-                dst=f"{replica}#kvs",
-                payload=copy,
-                size_bytes=copy.wire_bytes,
-            )
-        )
+        self.link.send(Frame(self.address, f"{replica}#kvs", copy, copy.wire_bytes))
 
 
-class _QuorumWait:
-    """Collects the fan-in of one quorum operation.
+class _QuorumWait(Awaitable):
+    """Collects the fan-in of one quorum operation; the op yields it.
 
     Registered (possibly under several txids) in the client's waiter
     map, so multiple responses reach it without the demux popping the
     entry.  Responses are classified by ``error``: an answer without one
     counts toward the quorum even when ``ok`` is False (a delete of a
-    missing key).  Fires its event with the list of counted responses
+    missing key).  The fan-in decides with the list of counted responses
     once ``need`` arrived, or with ``None`` once success is impossible
     (every expected response in and still short, or -- ``fail_fast`` --
     the first rejection, used by writes where any participant's
     ``stale_epoch`` means the attempt must re-resolve and retry).
+
+    The op yields the wait itself and resumes with ``(0, decision)`` or
+    ``(1, None)``.  The kernel schedule is exactly that of ``AnyOf([event,
+    Timeout(timeout_ns)])``: a deadline event at subscription, and an
+    event at ``now`` once the fan-in decides.  Whichever fires first
+    wins: the deadline stays queued after a decision (a no-op when it
+    fires), and a later decision schedules nothing.
     """
 
-    def __init__(
-        self,
-        kernel: Kernel,
-        need: int,
-        expected: int,
-        fail_fast: bool = False,
-        name: str = "",
-    ):
-        self.event = kernel.event(name)
+    __slots__ = ("need", "expected", "timeout_ns", "fail_fast",
+                 "oks", "rejects", "decided", "_resume")
+
+    def __init__(self, need: int, expected: int, timeout_ns: float,
+                 fail_fast: bool = False):
         self.need = need
         self.expected = expected
+        self.timeout_ns = float(timeout_ns)
         self.fail_fast = fail_fast
         self.oks: List[KvsResponse] = []
         self.rejects: List[KvsResponse] = []
+        self.decided = False
+        self._resume = None
+
+    def _subscribe(self, kernel: Kernel, callback) -> None:
+        self._resume = callback
+        kernel.call_at(kernel.now + self.timeout_ns, self._wake, (1, None))
+
+    def _wake(self, outcome) -> None:
+        resume, self._resume = self._resume, None
+        if resume is not None:
+            resume(outcome)
 
     def on_response(self, kernel: Kernel, response: KvsResponse) -> None:
-        # Keep recording after the event fires: a write that committed
-        # at ``need`` acks still wants to know which stragglers arrive
+        # Keep recording after the decision: a write that committed at
+        # ``need`` acks still wants to know which stragglers arrive
         # before the attempt deadline (they do NOT need a hint).
         (self.rejects if response.error else self.oks).append(response)
-        if self.event.fired:
+        if self.decided:
             return
-        if not response.error:
-            if len(self.oks) >= self.need:
-                self.event.succeed(kernel, list(self.oks))
-                return
-        elif self.fail_fast:
-            self.event.succeed(kernel, None)
-            return
-        if (
+        if not response.error and len(self.oks) >= self.need:
+            result = list(self.oks)
+        elif (response.error and self.fail_fast) or (
             len(self.oks) + len(self.rejects) >= self.expected
-            and len(self.oks) < self.need
         ):
-            self.event.succeed(kernel, None)
+            result = None  # still short of ``need``: it cannot commit
+        else:
+            return
+        self.decided = True
+        if self._resume is not None:
+            kernel.call_at(kernel.now, self._wake, (0, result))
 
 
 class FleetKvsClient:
@@ -609,14 +632,7 @@ class FleetKvsClient:
             epoch=self.epoch, replicas=replicas,
         )
         self._waiters[txid] = wait
-        self.link.send(
-            Frame(
-                src=self.address,
-                dst=f"{machine}#kvs",
-                payload=request,
-                size_bytes=request.wire_bytes,
-            )
-        )
+        self.link.send(Frame(self.address, f"{machine}#kvs", request, request.wire_bytes))
         return txid
 
     def _send_oneway(
@@ -635,14 +651,7 @@ class FleetKvsClient:
             epoch=self.epoch, version=version,
             hint_for=hint_for, tombstone=tombstone,
         )
-        self.link.send(
-            Frame(
-                src=self.address,
-                dst=f"{machine}#kvs",
-                payload=request,
-                size_bytes=request.wire_bytes,
-            )
-        )
+        self.link.send(Frame(self.address, f"{machine}#kvs", request, request.wire_bytes))
 
     def _observe(self, op: str, machine: str, elapsed_ns: float) -> None:
         if self.obs:
@@ -724,13 +733,10 @@ class FleetKvsClient:
             targets = self.rack.ring.place(key)
             primary, replicas = targets[0], tuple(targets[1:])
             need = min(self.write_quorum, len(targets))
-            wait = _QuorumWait(
-                self.kernel, need, len(targets),
-                fail_fast=True, name=f"kvs-q{op}",
-            )
+            wait = _QuorumWait(need, len(targets), self.timeout_ns, fail_fast=True)
             sent_at = self.kernel.now
             txid = self._request(primary, op, key, value, wait, replicas=replicas)
-            index, result = yield AnyOf([wait.event, Timeout(self.timeout_ns)])
+            index, result = yield wait
             if index == 0 and result is not None:
                 version = max(tuple(r.version) for r in result)
                 if self.hinted_handoff and len(wait.oks) < len(targets):
@@ -824,11 +830,9 @@ class FleetKvsClient:
         for attempt in range(self.max_retries + 1):
             targets = self.rack.ring.place(key)
             need = min(self.read_quorum, len(targets))
-            wait = _QuorumWait(
-                self.kernel, need, len(targets), name="kvs-qget"
-            )
+            wait = _QuorumWait(need, len(targets), self.timeout_ns)
             txids = [self._request(m, "get", key, b"", wait) for m in targets]
-            index, result = yield AnyOf([wait.event, Timeout(self.timeout_ns)])
+            index, result = yield wait
             self._retire(txids)
             if index == 0 and result is not None:
                 best = max(result, key=lambda r: tuple(r.version))

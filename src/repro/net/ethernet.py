@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from ..sim import Kernel
@@ -26,23 +26,30 @@ class LinkAttachError(ValueError):
     callers that caught the untyped duplicate-address error."""
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, slots=True, unsafe_hash=True)
 class Frame:
-    """One Ethernet frame carrying an opaque payload."""
+    """One Ethernet frame carrying an opaque payload.
+
+    A slotted record that nothing mutates after construction; every hop
+    reads ``wire_bytes`` (size plus Ethernet overhead), computed here.
+    """
 
     src: str
     dst: str
     payload: Any
     size_bytes: int
     seq: int = 0
+    wire_bytes: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.size_bytes < 1:
+    def __init__(self, src: str, dst: str, payload: Any, size_bytes: int, seq: int = 0):
+        if size_bytes < 1:
             raise ValueError("frame must have positive size")
-
-    @property
-    def wire_bytes(self) -> int:
-        return self.size_bytes + ETH_OVERHEAD_BYTES
+        self.src = src
+        self.dst = dst
+        self.payload = payload
+        self.size_bytes = size_bytes
+        self.seq = seq
+        self.wire_bytes = size_bytes + ETH_OVERHEAD_BYTES
 
 
 class EthernetLink:
@@ -62,8 +69,11 @@ class EthernetLink:
         seed: Optional[int] = 1,
         name: str = "eth",
     ):
-        if rate_gbps <= 0:
-            raise ValueError("rate must be positive")
+        # Written so that NaN fails too: a NaN time would break the heap.
+        if not rate_gbps > 0:
+            raise ValueError(f"rate must be positive, got {rate_gbps}")
+        if not propagation_ns >= 0:
+            raise ValueError(f"propagation_ns must be non-negative, got {propagation_ns}")
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError("loss_rate must be in [0, 1)")
         self.kernel = kernel
@@ -121,45 +131,48 @@ class EthernetLink:
 
     def send(self, frame: Frame) -> None:
         """Transmit; the frame arrives at ``frame.dst`` (or the uplink)."""
-        if frame.dst not in self._endpoints and self._uplink is None:
+        handler = self._endpoints.get(frame.dst, self._uplink)
+        if handler is None:
             raise ValueError(f"no endpoint {frame.dst!r} on {self.name}")
-        self.stats["frames"] += 1
-        self.stats["bytes"] += frame.wire_bytes
-        start = max(self.kernel.now, self._busy_until.get(frame.src, 0.0))
-        ser = frame.wire_bytes / self.rate
-        self._busy_until[frame.src] = start + ser
+        src = frame.src
+        wire_bytes = frame.wire_bytes
+        stats = self.stats
+        stats["frames"] += 1
+        stats["bytes"] += wire_bytes
+        now = self.kernel.now
+        busy = self._busy_until.get(src, 0.0)
+        start = busy if busy > now else now  # max(now, busy), same float
+        ser = wire_bytes / self.rate
+        self._busy_until[src] = start + ser
         if self.loss_rate and self._rng.random() < self.loss_rate:
-            self.stats["dropped"] += 1
+            stats["dropped"] += 1
             return
         arrival = start + ser + self.propagation_ns
-        handler = self._endpoints.get(frame.dst, self._uplink)
         if self.fault_hook is not None:
             action = self.fault_hook(frame)
             if action is not None:
-                self.stats["faulted"] += 1
+                stats["faulted"] += 1
                 if action == "drop":
-                    self.stats["dropped"] += 1
+                    stats["dropped"] += 1
                     return
                 if action == "dup":
                     # The duplicate trails the original by one frame time.
-                    self.stats["duplicated"] += 1
+                    stats["duplicated"] += 1
                     self.kernel.call_at(arrival + ser, lambda _: handler(frame))
                 elif action == "reorder":
                     # Delay past the frames behind it: it arrives late.
-                    self.stats["reordered"] += 1
+                    stats["reordered"] += 1
                     self.kernel.call_at(
                         arrival + 4 * ser + self.propagation_ns,
                         lambda _: handler(frame),
                     )
                     return
-        pending = self._pending.get(frame.src)
+        pending = self._pending.get(src)
         if pending is None:
-            pending = self._pending[frame.src] = deque()
-        if pending:
-            pending.append((arrival, handler, frame))
-        else:
-            pending.append((arrival, handler, frame))
-            self.kernel.call_at(arrival, self._pump, frame.src)
+            pending = self._pending[src] = deque()
+        if not pending:
+            self.kernel.call_at(arrival, self._pump, src)
+        pending.append((arrival, handler, frame))
 
     def _pump(self, src: str) -> None:
         """Deliver this direction's next frame; re-arm if more are in flight."""

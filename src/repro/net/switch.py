@@ -60,12 +60,18 @@ class Switch:
     ):
         from ..obs import NULL_REGISTRY
 
+        # Written so that NaN fails too: a NaN time would break the heap.
+        if not forwarding_ns >= 0:
+            raise ValueError(f"forwarding_ns must be non-negative, got {forwarding_ns}")
         self.kernel = kernel
         self.name = name
         self.forwarding_ns = forwarding_ns
         self.egress_queueing = egress_queueing
         self.obs = obs if obs is not None else NULL_REGISTRY
         self._mac_table: Dict[str, EthernetLink] = {}
+        #: Memo of destination address ("host#kvs") -> (host, port link);
+        #: it never goes stale because ports are never disconnected.
+        self._routes: Dict[str, Tuple[str, EthernetLink]] = {}
         #: Per-egress-port occupancy (only maintained when queueing).
         self._egress_busy: Dict[str, float] = {}
         #: Active partition descriptor (None = no partition).  Keys:
@@ -109,6 +115,8 @@ class Switch:
         :meth:`clear_partition`.  ``oneway`` requires exactly two
         groups and drops only group-0 -> group-1 frames.
         """
+        if not start_ns >= 0 or not (until_ns is None or until_ns > start_ns):
+            raise SwitchPortError(f"partition window [{start_ns}, {until_ns}) is invalid")
         normalized = tuple(tuple(sorted(set(g))) for g in groups)
         if len(normalized) < 2:
             raise SwitchPortError(
@@ -169,12 +177,16 @@ class Switch:
     # -- forwarding --------------------------------------------------------
 
     def _ingress(self, frame: Frame) -> None:
-        # Sub-addresses ("host#tx") route to the host's port.
-        host = frame.dst.split("#")[0]
-        link = self._mac_table.get(host)
-        if link is None:
-            self.stats["dropped_unknown"] += 1
-            return
+        route = self._routes.get(frame.dst)
+        if route is None:
+            # Sub-addresses ("host#tx") route to the host's port.
+            host = frame.dst.split("#")[0]
+            link = self._mac_table.get(host)
+            if link is None:
+                self.stats["dropped_unknown"] += 1
+                return
+            route = self._routes[frame.dst] = (host, link)
+        host, link = route
         if self._partition is not None:
             src_host = frame.src.split("#")[0]
             if self._partitioned(src_host, host):
@@ -193,9 +205,16 @@ class Switch:
         if self.egress_queueing:
             # Shared output port: frames to this host leave one at a
             # time at the port's line rate, whatever their ingress.
-            departure = max(departure, self._egress_busy.get(host, 0.0))
+            busy = self._egress_busy.get(host, 0.0)
+            if busy > departure:  # max(departure, busy), same float
+                departure = busy
             self._egress_busy[host] = departure + frame.wire_bytes / link.rate
-        self.kernel.call_at(departure, lambda _: link.send(frame))
+        self.kernel.call_at(departure, self._egress, (link, frame))
+
+    @staticmethod
+    def _egress(hop: Tuple[EthernetLink, Frame]) -> None:
+        # ``send`` is looked up now, not at ingress: a MessageTap may wrap it.
+        hop[0].send(hop[1])
 
     # -- checkpoint/restore (repro.snap) ---------------------------------
 

@@ -374,3 +374,65 @@ def test_v1_switch_snapshot_migrates_to_partitionless():
     assert switch.partition is None
     assert switch.stats["dropped_partitioned"] == 0
     assert switch.stats["forwarded"] == 3
+
+
+# -- bad parameters fail when they are set, not at the first send ------------
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"rate_gbps": NAN},
+        {"rate_gbps": -1.0},
+        {"propagation_ns": -1.0},
+        {"propagation_ns": NAN},
+    ],
+)
+def test_link_rejects_bad_parameters_at_construction(kwargs):
+    with pytest.raises(ValueError):
+        EthernetLink(Kernel(), **kwargs)
+
+
+@pytest.mark.parametrize("forwarding_ns", [-1.0, NAN])
+def test_switch_rejects_bad_forwarding_latency(forwarding_ns):
+    from repro.net.switch import star_topology
+
+    with pytest.raises(ValueError):
+        Switch(Kernel(), forwarding_ns=forwarding_ns)
+    with pytest.raises(ValueError):
+        star_topology(Kernel(), ["a", "b"], forwarding_ns=forwarding_ns)
+    with pytest.raises(ValueError):
+        star_topology(Kernel(), ["a", "b"], propagation_ns=forwarding_ns)
+
+
+@pytest.mark.partition
+@pytest.mark.parametrize(
+    "start_ns, until_ns",
+    [(5_000.0, 5_000.0), (5_000.0, 1_000.0), (0.0, NAN), (NAN, 1_000.0), (NAN, None)],
+)
+def test_partition_rejects_an_empty_or_invalid_window(start_ns, until_ns):
+    from repro.net.switch import SwitchPortError
+
+    kernel, switch, links, received = _partitioned_pair()
+    with pytest.raises(SwitchPortError, match="window"):
+        switch.set_partition([("a",), ("c",)], start_ns=start_ns, until_ns=until_ns)
+    assert switch.partition is None
+
+
+# -- frames are slotted records ----------------------------------------------
+
+
+def test_frame_equality_repr_and_construction():
+    frame = Frame("a", "b", ("p", 1), size_bytes=100, seq=7)
+    assert frame == Frame(src="a", dst="b", payload=("p", 1), size_bytes=100, seq=7)
+    assert frame != Frame("a", "b", ("p", 1), 100)
+    assert Frame("a", "b", None, 64).seq == 0
+    assert hash(frame) == hash(Frame("a", "b", ("p", 1), 100, 7))
+    assert repr(frame) == (
+        "Frame(src='a', dst='b', payload=('p', 1), size_bytes=100, seq=7)"
+    )
+    assert not hasattr(frame, "__dict__")
+    with pytest.raises(ValueError, match="positive size"):
+        Frame("a", "b", None, size_bytes=-3)
