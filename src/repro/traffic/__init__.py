@@ -1,10 +1,10 @@
 """repro.traffic: a serving front-end and traffic engine for the rack.
 
 Drive the fleet the way production traffic drives a serving system:
-arrival-process models (Poisson, diurnal, flash crowd), open- and
-closed-loop client pools, a workload mix mapped onto real app models
-(fleet KVS, recsys embedding lookups, GBDT inference), and a gateway
-doing admission control, batching, and caching in front of the rack.
+open-loop arrival processes (Poisson, flash crowd), a workload mix
+mapped onto real app models (fleet KVS, recsys embedding lookups, GBDT
+inference), and a gateway doing admission control, batching, caching,
+budgeted retries and per-shard circuit breaking in front of the rack.
 Off by default; deterministic under the kernel seed when on.
 """
 
@@ -20,7 +20,6 @@ from .classes import (
 from .config import (
     ARRIVAL_MODELS,
     CLASS_KINDS,
-    LOOP_MODES,
     GatewayConfig,
     RequestClassConfig,
     TrafficConfig,
@@ -44,7 +43,6 @@ __all__ = [
     "Gateway",
     "GatewayConfig",
     "LATENCY_METRIC",
-    "LOOP_MODES",
     "LruCache",
     "Request",
     "RequestClass",

@@ -1,22 +1,21 @@
-"""Arrival-process models: Poisson, diurnal curve, flash crowd.
+"""Arrival-process models: Poisson and flash crowd.
 
-All three are inhomogeneous Poisson processes described by an
-instantaneous rate function ``rate(t)`` over the scenario window.
-Gaps are drawn by Lewis-Shedler *thinning*: candidate gaps come from a
-homogeneous process at the peak rate, and each candidate is accepted
-with probability ``rate(t)/peak`` -- exact for any bounded rate
-function, and deterministic because every draw comes from the
+Both are Poisson processes described by an instantaneous rate function
+``rate(t)`` over the scenario window: flat for ``poisson``, a step for
+``flash``.  Gaps are drawn by Lewis-Shedler *thinning*: candidate gaps
+come from a homogeneous process at the peak rate, and each candidate is
+accepted with probability ``rate(t)/peak`` -- exact for any bounded
+rate function, and deterministic because every draw comes from the
 kernel-owned RNG (one seed pins the whole arrival trace).
 
-The model also labels simulation time with a *phase* ("steady",
-"flash", "peak", "trough"), which the engine stamps onto each
-request's latency series -- that is what lets the SLO report show the
-flash-crowd window separately from the calm before it.
+The model also labels simulation time with a *phase* ("steady" or
+"flash"), which the engine stamps onto each request's latency series
+-- that is what lets the SLO report show the flash-crowd window
+separately from the calm before it.
 """
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING
 
 from .config import TrafficConfig
@@ -33,8 +32,6 @@ class ArrivalModel:
         self.base = config.base_rate_per_ns
         if config.arrival == "flash":
             self.peak = self.base * config.flash_multiplier
-        elif config.arrival == "diurnal":
-            self.peak = self.base * (1.0 + config.diurnal_amplitude)
         else:
             self.peak = self.base
 
@@ -43,9 +40,6 @@ class ArrivalModel:
         cfg = self.config
         if cfg.arrival == "poisson":
             return self.base
-        if cfg.arrival == "diurnal":
-            phase = 2.0 * math.pi * t_ns / cfg.diurnal_period_ns
-            return self.base * (1.0 + cfg.diurnal_amplitude * math.sin(phase))
         # flash
         if cfg.flash_at_ns <= t_ns < cfg.flash_at_ns + cfg.flash_duration_ns:
             return self.base * cfg.flash_multiplier
@@ -59,17 +53,12 @@ class ArrivalModel:
                 cfg.flash_at_ns <= t_ns < cfg.flash_at_ns + cfg.flash_duration_ns
             )
             return "flash" if in_window else "steady"
-        if cfg.arrival == "diurnal":
-            phase = math.sin(2.0 * math.pi * t_ns / cfg.diurnal_period_ns)
-            return "peak" if phase >= 0 else "trough"
         return "steady"
 
     def phases(self) -> tuple:
         """Every phase label this model can emit (report ordering)."""
         if self.config.arrival == "flash":
             return ("steady", "flash")
-        if self.config.arrival == "diurnal":
-            return ("peak", "trough")
         return ("steady",)
 
     def next_gap(self, kernel: "Kernel", t0_ns: float = 0.0) -> float:

@@ -21,9 +21,8 @@ model and the serving scenario gets faster with it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from ..sim import Event
 from .config import TrafficConfig
 
 #: Tuples per GBDT inference request (a small scoring batch, far below
@@ -70,8 +69,6 @@ class RequestClass:
     service_ns: float
     #: May the gateway cache tier answer this class?
     cacheable: bool
-    #: End-to-end deadline from submission (0 = none propagated).
-    deadline_ns: float = 0.0
 
 
 def build_classes(config: TrafficConfig) -> List[RequestClass]:
@@ -90,7 +87,6 @@ def build_classes(config: TrafficConfig) -> List[RequestClass]:
                 slo_ns=entry.slo_ns,
                 service_ns=service,
                 cacheable=entry.kind in ("kvs_get", "recsys"),
-                deadline_ns=entry.deadline_ns,
             )
         )
     return resolved
@@ -99,16 +95,7 @@ def build_classes(config: TrafficConfig) -> List[RequestClass]:
 class Request:
     """One request in flight through the gateway."""
 
-    __slots__ = (
-        "cls",
-        "key",
-        "value",
-        "phase",
-        "submitted_ns",
-        "done",
-        "outcome",
-        "deadline_ns",
-    )
+    __slots__ = ("cls", "key", "value", "phase", "submitted_ns", "outcome")
 
     def __init__(
         self,
@@ -117,21 +104,14 @@ class Request:
         value: bytes,
         phase: str,
         submitted_ns: float,
-        done: Optional[Event] = None,
     ):
         self.cls = cls
         self.key = key
         self.value = value
         self.phase = phase
         self.submitted_ns = submitted_ns
-        #: Optional completion event (closed-loop clients wait on it).
-        self.done = done
         #: "served" | "cache_hit" | "rejected:<reason>" | "error" | "".
         self.outcome = ""
-        #: Absolute deadline (ns); 0 = the class propagates none.
-        self.deadline_ns = (
-            submitted_ns + cls.deadline_ns if cls.deadline_ns else 0.0
-        )
 
 
 class RequestSampler:

@@ -2,8 +2,8 @@
 
 A traffic scenario drives a rack the way production traffic drives a
 serving system: a *population* of simulated users generates requests
-through an arrival-process model (Poisson, diurnal curve, flash crowd),
-the requests pass a *gateway* (admission control, batching, a cache
+through an open-loop arrival process (Poisson or a flash crowd), the
+requests pass a *gateway* (admission control, batching, a cache
 tier), and land on the fleet KVS or on accelerator-backed app models
 (recsys embedding lookups, GBDT inference).
 
@@ -12,8 +12,8 @@ default* and zero-cost when off: with ``enabled = False`` no traffic
 machinery is constructed anywhere and every existing scenario is
 bit-identical to a build without this package.  Determinism is part of
 the contract -- every stochastic draw (arrival gaps, request classes,
-key popularity, think times) comes from the kernel-owned RNG, so one
-seed pins the entire trace.
+key popularity) comes from the kernel-owned RNG, so one seed pins the
+entire trace.
 
 This module deliberately imports nothing from :mod:`repro.config` (the
 tree imports *us*), mirroring :mod:`repro.fleet.config`.
@@ -28,10 +28,7 @@ from typing import Tuple
 CLASS_KINDS = ("kvs_put", "kvs_get", "recsys", "gbdt")
 
 #: Arrival-process model names.
-ARRIVAL_MODELS = ("poisson", "diurnal", "flash")
-
-#: Client-loop disciplines.
-LOOP_MODES = ("open", "closed")
+ARRIVAL_MODELS = ("poisson", "flash")
 
 
 @dataclass(frozen=True)
@@ -48,12 +45,6 @@ class RequestClassConfig:
     kind: str
     weight: float = 1.0
     slo_ns: float = 100_000.0
-    #: End-to-end deadline propagated with every request of this class
-    #: (ns from submission).  A request still queued -- or between
-    #: gateway retries -- past its deadline is shed (typed
-    #: ``deadline`` rejection) instead of burning backend work nobody
-    #: is waiting for.  0 (the default) disables the deadline.
-    deadline_ns: float = 0.0
 
     def __post_init__(self):
         if self.kind not in CLASS_KINDS:
@@ -65,10 +56,6 @@ class RequestClassConfig:
             raise ValueError(f"class weight must be positive, got {self.weight}")
         if self.slo_ns <= 0:
             raise ValueError(f"slo_ns must be positive, got {self.slo_ns}")
-        if self.deadline_ns < 0:
-            raise ValueError(
-                f"deadline_ns must be non-negative, got {self.deadline_ns}"
-            )
 
 
 @dataclass(frozen=True)
@@ -107,12 +94,6 @@ class GatewayConfig:
     cache_slots: int = 4096
     #: Service time of a cache hit (ns).
     cache_hit_ns: float = 1_500.0
-    #: Tail-latency hedging for idempotent ``kvs_get``: if the first
-    #: attempt has not finished after this many ns, a second identical
-    #: request is launched on the next client port and the first
-    #: response wins.  0 (the default) disables hedging and is
-    #: bit-identical to a build without it.
-    hedge_ns: float = 0.0
     #: Gateway-level retry budget: tokens accrued per admitted request
     #: (Finagle-style).  A backend failure may be retried only while
     #: the budget holds a whole token, so retries are bounded to this
@@ -151,8 +132,6 @@ class GatewayConfig:
             raise ValueError(f"cache_slots must be >= 0, got {self.cache_slots}")
         if self.cache_hit_ns <= 0:
             raise ValueError(f"cache_hit_ns must be positive, got {self.cache_hit_ns}")
-        if self.hedge_ns < 0:
-            raise ValueError(f"hedge_ns must be non-negative, got {self.hedge_ns}")
         if not 0 <= self.retry_budget <= 1:
             raise ValueError(
                 f"retry_budget must be in [0, 1], got {self.retry_budget}"
@@ -192,20 +171,9 @@ class TrafficConfig:
     #: Scenario length (ns of simulated time); arrivals stop here and
     #: in-flight requests drain.
     duration_ns: float = 20_000_000.0
-    #: Arrival model: "poisson" (homogeneous), "diurnal" (sinusoidal
-    #: rate curve), or "flash" (rate multiplier inside a window).
+    #: Arrival model: "poisson" (homogeneous) or "flash" (rate
+    #: multiplier inside a window).
     arrival: str = "poisson"
-    #: Client discipline: "open" (arrivals independent of completions)
-    #: or "closed" (a fixed client pool with think times).
-    mode: str = "open"
-    #: Closed-loop population (ignored in open mode).
-    closed_clients: int = 64
-    #: Mean think time between a closed client's requests (ns).
-    think_ns: float = 200_000.0
-    #: Diurnal curve period (ns) and relative amplitude (0..1):
-    #: rate(t) = base * (1 + amplitude * sin(2*pi*t/period)).
-    diurnal_period_ns: float = 10_000_000.0
-    diurnal_amplitude: float = 0.6
     #: Flash crowd: rate is multiplied by ``flash_multiplier`` inside
     #: [flash_at_ns, flash_at_ns + flash_duration_ns).
     flash_at_ns: float = 8_000_000.0
@@ -219,9 +187,6 @@ class TrafficConfig:
     #: concentrates traffic on hot keys (what makes the cache tier
     #: earn its keep).  1.0 = uniform.
     key_skew: float = 2.0
-    #: KVS client ports attached to the rack switch (backend workers
-    #: round-robin across them).
-    client_ports: int = 4
     #: The workload mix.
     classes: Tuple[RequestClassConfig, ...] = field(
         default_factory=_default_classes
@@ -243,22 +208,6 @@ class TrafficConfig:
                 f"unknown arrival model {self.arrival!r}; "
                 f"known: {', '.join(ARRIVAL_MODELS)}"
             )
-        if self.mode not in LOOP_MODES:
-            raise ValueError(
-                f"unknown mode {self.mode!r}; known: {', '.join(LOOP_MODES)}"
-            )
-        if self.closed_clients < 1:
-            raise ValueError(
-                f"closed_clients must be >= 1, got {self.closed_clients}"
-            )
-        if self.think_ns <= 0:
-            raise ValueError(f"think_ns must be positive, got {self.think_ns}")
-        if self.diurnal_period_ns <= 0:
-            raise ValueError("diurnal_period_ns must be positive")
-        if not 0 <= self.diurnal_amplitude < 1:
-            raise ValueError(
-                f"diurnal_amplitude must be in [0, 1), got {self.diurnal_amplitude}"
-            )
         if self.flash_at_ns < 0:
             raise ValueError("flash_at_ns must be non-negative")
         if self.flash_duration_ns <= 0:
@@ -271,8 +220,6 @@ class TrafficConfig:
             raise ValueError(f"key_space must be >= 1, got {self.key_space}")
         if self.key_skew < 1:
             raise ValueError(f"key_skew must be >= 1, got {self.key_skew}")
-        if self.client_ports < 1:
-            raise ValueError(f"client_ports must be >= 1, got {self.client_ports}")
         if not self.classes:
             raise ValueError("classes must name at least one request class")
         kinds = [c.kind for c in self.classes]
@@ -281,7 +228,7 @@ class TrafficConfig:
 
     @property
     def base_rate_per_ns(self) -> float:
-        """The open-loop base arrival rate in requests per ns."""
+        """The base arrival rate in requests per ns."""
         return self.users * self.per_user_rps / 1e9
 
 
@@ -290,11 +237,6 @@ class TrafficConfig:
 def _steady() -> TrafficConfig:
     """A homogeneous Poisson mix well under capacity."""
     return TrafficConfig(enabled=True)
-
-
-def _diurnal() -> TrafficConfig:
-    """A day-curve: load swings +-60% around the base rate."""
-    return TrafficConfig(enabled=True, arrival="diurnal")
 
 
 def _flash_crowd() -> TrafficConfig:
@@ -325,7 +267,6 @@ def _million_users() -> TrafficConfig:
 
 _TRAFFIC_PRESETS = {
     "steady": _steady,
-    "diurnal": _diurnal,
     "flash_crowd": _flash_crowd,
     "million_users": _million_users,
 }

@@ -4,19 +4,15 @@
 :class:`repro.fleet.rack.Rack`:
 
 * an :class:`~repro.traffic.arrivals.ArrivalModel` decides *when*
-  requests arrive (Poisson / diurnal / flash crowd);
+  requests arrive (Poisson / flash crowd);
 * a :class:`~repro.traffic.classes.RequestSampler` decides *what* each
   request is (class mix, key popularity);
 * the :class:`~repro.traffic.gateway.Gateway` decides *whether and
   how* it is served (admission, batching, cache, backends).
 
-Two client disciplines:
-
-* **open loop** -- one arrival process submits at the model's rate
-  regardless of completions.  This is the honest way to measure tail
-  latency under overload (closed loops self-throttle and hide it).
-* **closed loop** -- ``closed_clients`` synthetic users each submit,
-  wait for the response, think (exponential ``think_ns``), repeat.
+The load is open loop: one arrival process submits at the model's rate
+regardless of completions.  This is the honest way to measure tail
+latency under overload (a closed loop self-throttles and hides it).
 
 ``run()`` drives the kernel until the scenario drains and returns the
 SLO report: per-class and per-phase p50/p99/p999 plus attainment
@@ -24,9 +20,9 @@ against each class's ``slo_ns``, read off the merged
 ``traffic_request_latency_ns`` histograms via the same bucket-exact
 rollup machinery the fleet uses.
 
-Every stochastic draw -- gaps, classes, keys, think times -- comes
-from the kernel-owned RNG: one seed pins the entire scenario,
-rejections and all.
+Every stochastic draw -- gaps, classes, keys -- comes from the
+kernel-owned RNG: one seed pins the entire scenario, rejections and
+all.
 """
 
 from __future__ import annotations
@@ -39,6 +35,10 @@ from .arrivals import ArrivalModel
 from .classes import RequestClass, RequestSampler, build_classes
 from .config import TrafficConfig
 from .gateway import LATENCY_METRIC, Gateway
+
+#: KVS client ports the gateway attaches to the rack switch (backend
+#: workers round-robin across them).
+CLIENT_PORTS = 4
 
 
 class TrafficError(Exception):
@@ -61,9 +61,7 @@ class TrafficEngine:
         self.classes: List[RequestClass] = build_classes(traffic)
         self.sampler = RequestSampler(traffic, self.classes)
         self.arrivals = ArrivalModel(traffic)
-        self.clients = [
-            rack.client(f"gw{i}") for i in range(traffic.client_ports)
-        ]
+        self.clients = [rack.client(f"gw{i}") for i in range(CLIENT_PORTS)]
         self.gateway = Gateway(
             self.kernel, traffic.gateway, self.clients, obs=self.obs
         )
@@ -74,16 +72,16 @@ class TrafficEngine:
         :class:`repro.fleet.audit.HistoryRecorder`.
 
         The engine's backend workers round-robin across
-        ``client_ports`` concurrent clients; with one recorder behind
+        ``CLIENT_PORTS`` concurrent clients; with one recorder behind
         all of them the scenario produces a genuinely interleaved
         multi-client history that :func:`repro.fleet.audit.check_history`
         can audit for linearizability."""
         for client in self.clients:
             recorder.attach(client)
 
-    # -- sources -------------------------------------------------------------
+    # -- source --------------------------------------------------------------
 
-    def _open_source(self):
+    def _source(self):
         """One arrival process: submit at the model's rate until the
         scenario window closes, independent of completions."""
         kernel = self.kernel
@@ -97,34 +95,15 @@ class TrafficEngine:
             phase = self.arrivals.phase_at(kernel.now - t0)
             self.gateway.submit(self.sampler.sample(kernel, phase))
 
-    def _closed_client(self, index: int):
-        """One synthetic user: submit, wait, think, repeat."""
-        kernel = self.kernel
-        traffic = self.traffic
-        t0 = self._t0
-        while kernel.now - t0 < traffic.duration_ns:
-            phase = self.arrivals.phase_at(kernel.now - t0)
-            request = self.sampler.sample(kernel, phase)
-            request.done = kernel.event(f"traffic-done-{index}")
-            self.gateway.submit(request)
-            yield request.done
-            yield Timeout(kernel.rng.expovariate(1.0 / traffic.think_ns))
-
     # -- scenario ------------------------------------------------------------
 
     def start(self) -> None:
-        """Spawn the gateway workers and the traffic source(s)."""
+        """Spawn the gateway workers and the traffic source."""
         kernel = self.kernel
         self._t0 = kernel.now
         for i in range(self.traffic.gateway.workers):
             kernel.spawn(self.gateway.worker(i), name=f"gw-worker{i}")
-        if self.traffic.mode == "open":
-            kernel.spawn(self._open_source(), name="traffic-source")
-        else:
-            for i in range(self.traffic.closed_clients):
-                kernel.spawn(
-                    self._closed_client(i), name=f"traffic-client{i}"
-                )
+        kernel.spawn(self._source(), name="traffic-source")
 
     def run(self) -> dict:
         """Run the scenario to drain and return the SLO report.
@@ -192,9 +171,9 @@ class TrafficEngine:
         Conservation holds by construction, faults included:
         ``offered == completed + rejected_throttled + rejected_shed +
         errors`` (cache hits complete like any other request and count
-        under ``completed``; deadline and breaker rejections fold into
-        ``rejected_shed`` with per-reason sub-counters; backend
-        failures that exhaust the retry budget count under
+        under ``completed``; breaker rejections fold into
+        ``rejected_shed`` with their own ``shed_breaker`` sub-counter;
+        backend failures that exhaust the retry budget count under
         ``errors``).
         """
         traffic = self.traffic
@@ -206,7 +185,6 @@ class TrafficEngine:
                 "users": traffic.users,
                 "per_user_rps": traffic.per_user_rps,
                 "arrival": traffic.arrival,
-                "mode": traffic.mode,
                 "duration_ns": traffic.duration_ns,
                 "admission": traffic.gateway.admission,
             },

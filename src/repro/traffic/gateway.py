@@ -16,24 +16,21 @@ what a production front-end does:
 * **Cache tier** -- a small LRU in front of the backends serves repeat
   reads (KVS gets, recsys embedding results) at cache-hit latency,
   write-through on puts.
-* **Fault tolerance** (all knobs off by default, bit-identical when
-  off) -- per-class *deadline propagation* (a request past its
-  deadline is shed, not executed), a bounded *retry budget* for
-  backend failures (tokens accrue per admitted request, so retries
-  can never exceed a fixed fraction of traffic), optional
-  *tail-latency hedging* for idempotent ``kvs_get`` (a second request
-  races the first after ``hedge_ns``), and a per-backend-shard
-  *circuit breaker* (:class:`repro.health.CircuitBreaker`) that trips
-  on error bursts and sheds that shard's traffic to typed rejections
-  instead of letting the queue collapse behind a dead primary.
+* **Fault tolerance** (both knobs off by default, bit-identical when
+  off) -- a bounded *retry budget* for backend failures (tokens accrue
+  per admitted request, so retries can never exceed a fixed fraction
+  of traffic), and a per-backend-shard *circuit breaker*
+  (:class:`repro.health.CircuitBreaker`) that trips on error bursts
+  and sheds that shard's traffic to typed rejections instead of
+  letting the queue collapse behind a dead primary.
 
 Every served request lands its end-to-end latency (submit to
 completion) in the ``traffic_request_latency_ns{class,phase}``
 histogram; the engine's SLO report reads percentiles straight off
 those buckets.  Conservation is exact whatever faults fire:
 ``offered == completed + rejected_throttled + rejected_shed + errors``
-(deadline and breaker rejections fold into ``rejected_shed`` and are
-additionally counted per reason).
+(breaker rejections fold into ``rejected_shed`` and are additionally
+counted as ``shed_breaker``).
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..fleet.kvs import FleetKvsError
 from ..health import CircuitBreaker
-from ..sim import AnyOf, Awaitable, Kernel, Timeout
+from ..sim import Awaitable, Kernel, Timeout
 from .classes import Request
 from .config import GatewayConfig
 
@@ -55,9 +52,7 @@ class AdmissionRejected(Exception):
     rejection to :attr:`Gateway.rejections` (bounded) and counts them
     per reason, so a scenario can audit exactly what was shed.
     ``reason`` is ``"throttled"`` (token bucket empty), ``"shed"``
-    (queue at depth), ``"deadline"`` (past its propagated deadline
-    before execution), or ``"breaker"`` (backend shard's circuit
-    open).
+    (queue at depth), or ``"breaker"`` (backend shard's circuit open).
     """
 
     def __init__(self, reason: str, kind: str, at_ns: float):
@@ -76,9 +71,6 @@ LATENCY_METRIC = "traffic_request_latency_ns"
 #: Retry-budget tokens never accumulate past this (a long quiet spell
 #: must not bank an unbounded retry storm).
 RETRY_TOKEN_CAP = 256.0
-
-#: AnyOf sentinel: the hedge timer fired before the first attempt.
-_HEDGE_TIMER = "hedge-timer"
 
 
 class TokenBucket:
@@ -204,8 +196,6 @@ class Gateway:
         self._obs_errors = family(
             "counter", "traffic_errors_total", ("class", "reason")
         )
-        self._obs_hedges = family("counter", "traffic_hedges_total", ("class",))
-        self._obs_hedge_wins = family("counter", "traffic_hedge_wins_total")
         self._obs_latency = family(
             "histogram", LATENCY_METRIC, ("class", "phase"), base=1.25
         )
@@ -215,11 +205,12 @@ class Gateway:
             "cache_hits": 0,
             "rejected_throttled": 0,
             "rejected_shed": 0,
-            "shed_deadline": 0,
             "shed_breaker": 0,
             "completed": 0,
             "errors": 0,
             "retries": 0,
+            # Always 0 (the gateway does not hedge).  The two keys stay
+            # only because benchmarks/ledger/workloads.py reads them.
             "hedges": 0,
             "hedge_wins": 0,
             "batches": 0,
@@ -266,12 +257,12 @@ class Gateway:
 
     def _reject(self, request: Request, reason: str) -> None:
         request.outcome = f"rejected:{reason}"
-        if reason in ("deadline", "breaker"):
+        if reason == "breaker":
             # Typed load-shedding past admission: folds into the shed
             # bucket (conservation keeps its four terms) and is
-            # additionally counted per reason.
+            # additionally counted on its own.
             self.stats["rejected_shed"] += 1
-            self.stats[f"shed_{reason}"] += 1
+            self.stats["shed_breaker"] += 1
         else:
             self.stats[f"rejected_{reason}"] += 1
         if len(self.rejections) < MAX_RECORDED_REJECTIONS:
@@ -280,8 +271,6 @@ class Gateway:
             )
         if self.obs:
             self._obs_rejections.labels(reason, request.cls.kind).inc()
-        if request.done is not None:
-            request.done.succeed(self.kernel, request)
 
     # -- backend workers -----------------------------------------------------
     #
@@ -377,17 +366,9 @@ class Gateway:
         primary = client.rack.ring.primary(request.key)
         return self.breakers.get(primary)
 
-    def _past_deadline(self, request: Request) -> bool:
-        return bool(request.deadline_ns) and self.kernel.now >= request.deadline_ns
-
     def _execute(self, request: Request, client):
         kind = request.cls.kind
         config = self.config
-        if self._past_deadline(request):
-            # It waited in the queue past its deadline: nobody is
-            # listening for the answer, so don't burn backend work.
-            self._reject(request, "deadline")
-            return
         is_kvs = kind in ("kvs_put", "kvs_get")
         attempts = 0
         while True:
@@ -402,10 +383,7 @@ class Gateway:
                         # Write-through: readers see the new value from cache.
                         self.cache.fill(request.key, request.value)
                 elif kind == "kvs_get":
-                    if config.hedge_ns > 0:
-                        value = yield from self._hedged_get(request, client)
-                    else:
-                        value = yield from client.get(request.key)
+                    value = yield from client.get(request.key)
                     if config.cache_slots and value is not None:
                         self.cache.fill(request.key, value)
                 else:
@@ -419,7 +397,6 @@ class Gateway:
                     config.retry_budget > 0
                     and attempts < config.retry_limit
                     and self.retry_tokens >= 1.0
-                    and not self._past_deadline(request)
                 ):
                     self.retry_tokens -= 1.0
                     attempts += 1
@@ -439,68 +416,6 @@ class Gateway:
         request.outcome = "error"
         if self.obs:
             self._obs_errors.labels(request.cls.kind, reason).inc()
-        if request.done is not None:
-            request.done.succeed(self.kernel, request)
-
-    # -- hedging -------------------------------------------------------------
-
-    def _guarded_get(self, client, key: bytes):
-        """A hedge leg: a spawned process must not leak FleetKvsError
-        into the kernel, so failures come back as values."""
-        try:
-            value = yield from client.get(key)
-        except FleetKvsError as exc:
-            return ("error", exc)
-        return ("ok", value)
-
-    def _hedged_get(self, request: Request, client):
-        """Race two identical gets; first good answer wins.
-
-        The hedge launches only if the first attempt is still running
-        after ``hedge_ns``, on the *next* client port (a different
-        switch path).  The losing leg keeps running to completion --
-        gets are idempotent, so the duplicate read is harmless -- and
-        both legs land in the audit history (both really executed).
-        """
-        kernel = self.kernel
-        first = kernel.spawn(
-            self._guarded_get(client, request.key), name="gw-hedge-first"
-        )
-        index, won = yield AnyOf(
-            [first, Timeout(self.config.hedge_ns, _HEDGE_TIMER)]
-        )
-        if index == 0:
-            status, payload = won
-            if status == "error":
-                raise payload
-            return payload
-        self.stats["hedges"] += 1
-        if self.obs:
-            self._obs_hedges.labels(request.cls.kind).inc()
-        hedge_client = self.clients[
-            (self.clients.index(client) + 1) % len(self.clients)
-        ]
-        second = kernel.spawn(
-            self._guarded_get(hedge_client, request.key), name="gw-hedge-second"
-        )
-        index, won = yield AnyOf([first, second])
-        status, payload = won
-        if status == "ok":
-            if index == 1:
-                self.stats["hedge_wins"] += 1
-                if self.obs:
-                    self._obs_hedge_wins.labels().inc()
-            return payload
-        # The finisher failed; the other leg may still succeed.
-        other = second if index == 0 else first
-        status, payload = yield other
-        if status == "ok":
-            if other is second:
-                self.stats["hedge_wins"] += 1
-                if self.obs:
-                    self._obs_hedge_wins.labels().inc()
-            return payload
-        raise payload
 
     def _complete(self, request: Request) -> None:
         if not request.outcome:
@@ -510,8 +425,6 @@ class Gateway:
             self._obs_latency.labels(request.cls.kind, request.phase).observe(
                 self.kernel.now - request.submitted_ns
             )
-        if request.done is not None:
-            request.done.succeed(self.kernel, request)
 
     # -- checkpoint/restore (repro.snap) -------------------------------------
     #
@@ -522,7 +435,7 @@ class Gateway:
     # and every shard breaker.  Workers are spawned fresh by the
     # harness after a restore, exactly as at construction.
 
-    SNAP_VERSION = 1
+    SNAP_VERSION = 2
 
     def snapshot_state(self) -> dict:
         if self._queue:
@@ -559,6 +472,9 @@ class Gateway:
     def restore_state(self, state: dict) -> None:
         from ..snap.protocol import SnapshotError, restore
 
+        unknown = sorted(set(state["stats"]) - set(self.stats))
+        if unknown:
+            raise SnapshotError(f"checkpoint carries unknown gateway stats {unknown}")
         self.stats.update(state["stats"])
         self.retry_tokens = state["retry_tokens"]
         self.bucket.tokens = state["bucket"]["tokens"]
@@ -581,3 +497,13 @@ class Gateway:
                     "(was breaker_enabled on when the snapshot was taken?)"
                 )
             restore(breaker, tagged_state)
+
+    def snap_migrate(self, state: dict, version: int) -> dict:
+        # v1 counted deadline sheds; each one is also in rejected_shed,
+        # so dropping the counter keeps the conservation law whole.
+        if version == 1:
+            state = dict(state)
+            state["stats"] = {
+                k: v for k, v in state["stats"].items() if k != "shed_deadline"
+            }
+        return state

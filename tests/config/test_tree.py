@@ -2,6 +2,7 @@
 and provenance."""
 
 import json
+import re
 
 import pytest
 
@@ -71,6 +72,29 @@ def test_unknown_top_level_key_names_path():
 def test_unknown_nested_key_names_dotted_path():
     with pytest.raises(ConfigError, match=r"eci\.link\.lanes: unknown key"):
         PlatformConfig.from_dict({"eci": {"link": {"lanes": 24}}})
+
+
+@pytest.mark.parametrize(
+    "data, path",
+    [
+        ({"traffic": {"mode": "closed"}}, "traffic.mode"),
+        ({"traffic": {"closed_clients": 64}}, "traffic.closed_clients"),
+        ({"traffic": {"think_ns": 200_000.0}}, "traffic.think_ns"),
+        ({"traffic": {"diurnal_period_ns": 1e7}}, "traffic.diurnal_period_ns"),
+        ({"traffic": {"diurnal_amplitude": 0.6}}, "traffic.diurnal_amplitude"),
+        ({"traffic": {"client_ports": 4}}, "traffic.client_ports"),
+        ({"traffic": {"gateway": {"hedge_ns": 2_000.0}}}, "traffic.gateway.hedge_ns"),
+        (
+            {"traffic": {"classes": [{"kind": "kvs_get", "deadline_ns": 3e5}]}},
+            "traffic.classes[0].deadline_ns",
+        ),
+    ],
+)
+def test_removed_traffic_keys_name_dotted_path(data, path):
+    """A saved config that still sets a deleted traffic knob fails
+    loudly instead of silently running without it."""
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: unknown key")):
+        PlatformConfig.from_dict(data)
 
 
 def test_out_of_range_value_names_dotted_path():

@@ -163,7 +163,7 @@ def test_max_concurrency_separates_sequential_from_overlapped():
 
 
 def test_traffic_engine_attach_history_feeds_every_client_port():
-    """``TrafficEngine.attach_history`` wires all ``client_ports``
+    """``TrafficEngine.attach_history`` wires all ``CLIENT_PORTS``
     round-robin clients into one recorder; the serving scenario's own
     interleaved history audits clean."""
     from repro.traffic import TrafficConfig, TrafficEngine

@@ -26,21 +26,6 @@ def test_poisson_rate_is_flat():
     assert model.phases() == ("steady",)
 
 
-def test_diurnal_rate_swings_about_the_base():
-    cfg = _config(
-        arrival="diurnal", diurnal_period_ns=4e6, diurnal_amplitude=0.5
-    )
-    model = ArrivalModel(cfg)
-    assert model.rate_at(0.0) == pytest.approx(model.base)
-    # Quarter period: the sinusoid's crest; three quarters: the trough.
-    assert model.rate_at(1e6) == pytest.approx(model.base * 1.5)
-    assert model.rate_at(3e6) == pytest.approx(model.base * 0.5)
-    assert model.peak == pytest.approx(model.base * 1.5)
-    assert model.phase_at(1e6) == "peak"
-    assert model.phase_at(3e6) == "trough"
-    assert model.phases() == ("peak", "trough")
-
-
 def test_flash_rate_multiplies_inside_the_window():
     cfg = _config(
         arrival="flash",

@@ -19,7 +19,6 @@ def test_defaults_are_disabled_and_valid():
     cfg = TrafficConfig()
     assert cfg.enabled is False
     assert cfg.arrival == "poisson"
-    assert cfg.mode == "open"
     assert len(cfg.classes) == 4
 
 
@@ -30,14 +29,10 @@ def test_defaults_are_disabled_and_valid():
         {"per_user_rps": 0.0},
         {"duration_ns": -1.0},
         {"arrival": "bursty"},
-        {"mode": "half-open"},
-        {"closed_clients": 0},
-        {"think_ns": 0.0},
-        {"diurnal_amplitude": 1.0},
+        {"arrival": "diurnal"},
         {"flash_multiplier": 0.5},
         {"key_space": 0},
         {"key_skew": 0.5},
-        {"client_ports": 0},
         {"classes": ()},
     ],
 )
@@ -125,7 +120,7 @@ def test_deviations_track_traffic_changes():
 
 def test_traffic_preset_names_and_contents():
     names = traffic_preset_names()
-    assert set(names) >= {"steady", "diurnal", "flash_crowd", "million_users"}
+    assert set(names) >= {"steady", "flash_crowd", "million_users"}
     for name in names:
         cfg = traffic_preset(name)
         assert cfg.enabled, f"preset {name} must be enabled"
@@ -136,3 +131,5 @@ def test_traffic_preset_names_and_contents():
 def test_unknown_traffic_preset_raises():
     with pytest.raises(ValueError, match="unknown traffic preset"):
         traffic_preset("black_friday")
+    with pytest.raises(ValueError, match="unknown traffic preset"):
+        traffic_preset("diurnal")

@@ -1,5 +1,5 @@
-"""The serving path under faults: error accounting, deadlines, retry
-budgets, hedging, and circuit breakers.
+"""The serving path under faults: error accounting, retry budgets, and
+circuit breakers.
 
 Every scenario asserts the conservation law exactly --
 ``offered == completed + rejected_throttled + rejected_shed + errors``
@@ -13,11 +13,10 @@ import pytest
 
 from repro.config import FleetConfig
 from repro.fleet import Rack
-from repro.fleet.kvs import FleetKvsError
 from repro.health.breaker import BreakerState
 from repro.obs import MetricsRegistry
 from repro.obs.export import snapshot_jsonl
-from repro.sim import Kernel, Timeout
+from repro.sim import Kernel
 from repro.traffic import TrafficConfig, TrafficEngine
 from repro.traffic.config import GatewayConfig, RequestClassConfig
 from repro.traffic.gateway import Gateway
@@ -92,9 +91,8 @@ def test_backend_kill_lands_in_per_class_error_counters():
 
 
 def test_backend_kill_errors_complete_their_requests():
-    """Errored requests still resolve (outcome, done event) -- nothing
-    hangs, the kernel drains, and completed + errors covers every
-    admitted request."""
+    """Errored requests still resolve -- nothing hangs, the kernel
+    drains, and completed + errors covers every admitted request."""
     engine, rack, _, report = _kill_run()
     gateway = report["gateway"]
     assert rack.kernel.pending_events == 0
@@ -108,57 +106,6 @@ def test_kill_scenario_is_bit_identical_across_reruns():
         second, sort_keys=True
     )
     assert snapshot_jsonl(obs_a) == snapshot_jsonl(obs_b)
-
-
-# -- deadline propagation ---------------------------------------------------
-
-
-def _deadline_run(deadline_ns):
-    engine, rack, obs = _scenario(
-        dict(machines=4, replication_factor=2),
-        dict(
-            users=50_000,
-            per_user_rps=4.0,
-            duration_ns=1_000_000.0,
-            classes=(RequestClassConfig("kvs_get", deadline_ns=deadline_ns),),
-            gateway=GatewayConfig(
-                cache_slots=0,
-                workers=1,
-                batch_window_ns=5_000.0,
-                max_queue_depth=10_000,
-                admit_burst=10_000,
-                admit_rps=1e9,
-            ),
-        ),
-    )
-    report = engine.run()
-    return engine, obs, report
-
-
-def test_deadline_sheds_fold_into_rejected_shed():
-    """A request that waits in the queue past its propagated deadline
-    is shed (typed ``deadline``), not executed -- and the shed folds
-    into the conservation law's existing ``rejected_shed`` term."""
-    engine, obs, report = _deadline_run(20_000.0)
-    gateway = report["gateway"]
-    assert gateway["shed_deadline"] > 0
-    assert gateway["rejected_shed"] >= gateway["shed_deadline"]
-    _assert_conserved(gateway)
-    assert (
-        obs.counter(
-            "traffic_rejections_total",
-            {"reason": "deadline", "class": "kvs_get"},
-        ).value
-        == gateway["shed_deadline"]
-    )
-    assert any(r.reason == "deadline" for r in engine.gateway.rejections)
-
-
-def test_no_deadline_means_no_deadline_sheds():
-    _, _, report = _deadline_run(0.0)
-    gateway = report["gateway"]
-    assert gateway["shed_deadline"] == 0
-    _assert_conserved(gateway)
 
 
 # -- retry budget -----------------------------------------------------------
@@ -220,149 +167,6 @@ def test_retry_budget_bounds_retries_to_a_fraction_of_admitted():
     _, _, report = _partition_run(retry_budget=0.5)
     gateway = report["gateway"]
     assert gateway["retries"] <= 0.5 * gateway["admitted"]
-
-
-# -- hedging ----------------------------------------------------------------
-
-
-class _StubClient:
-    """A scripted KVS client: each ``get`` pops the next (delay,
-    result) step; a result that is an exception is raised after the
-    delay.  Gives the hedge race fully asymmetric, deterministic
-    latencies no symmetric rack can produce."""
-
-    def __init__(self, kernel, steps):
-        self.kernel = kernel
-        self.steps = list(steps)
-        self.calls = 0
-
-    def get(self, key):
-        self.calls += 1
-        delay, result = self.steps.pop(0)
-        yield Timeout(delay)
-        if isinstance(result, Exception):
-            raise result
-        return result
-
-
-class _StubRequest:
-    class cls:
-        kind = "kvs_get"
-
-    key = b"k"
-    deadline_ns = 0.0
-
-
-def _hedge_gateway(kernel, steps_a, steps_b, hedge_ns=1_000.0):
-    gateway = Gateway(
-        kernel,
-        GatewayConfig(hedge_ns=hedge_ns),
-        [_StubClient(kernel, steps_a), _StubClient(kernel, steps_b)],
-    )
-    return gateway
-
-
-def _drive(kernel, gen):
-    """Run one gateway generator to completion; capture value/error."""
-    out = {}
-
-    def runner():
-        try:
-            out["value"] = yield from gen
-        except FleetKvsError as exc:
-            out["error"] = exc
-
-    kernel.spawn(runner(), name="hedge-driver")
-    kernel.run()
-    return out
-
-
-def test_fast_first_leg_never_hedges():
-    kernel = Kernel(seed=1)
-    gateway = _hedge_gateway(kernel, [(500.0, b"v1")], [])
-    out = _drive(kernel, gateway._hedged_get(_StubRequest(), gateway.clients[0]))
-    assert out["value"] == b"v1"
-    assert gateway.stats["hedges"] == 0
-    assert gateway.clients[1].calls == 0
-
-
-def test_slow_first_leg_hedges_and_the_hedge_wins():
-    kernel = Kernel(seed=1)
-    gateway = _hedge_gateway(
-        kernel, [(50_000.0, b"slow")], [(500.0, b"fast")]
-    )
-    out = _drive(kernel, gateway._hedged_get(_StubRequest(), gateway.clients[0]))
-    assert out["value"] == b"fast"
-    assert gateway.stats["hedges"] == 1
-    assert gateway.stats["hedge_wins"] == 1
-
-
-def test_first_leg_still_wins_a_lost_race():
-    """The hedge launches but the first leg finishes before it."""
-    kernel = Kernel(seed=1)
-    gateway = _hedge_gateway(
-        kernel, [(2_000.0, b"first")], [(50_000.0, b"second")]
-    )
-    out = _drive(kernel, gateway._hedged_get(_StubRequest(), gateway.clients[0]))
-    assert out["value"] == b"first"
-    assert gateway.stats["hedges"] == 1
-    assert gateway.stats["hedge_wins"] == 0
-
-
-def test_failed_first_leg_falls_back_to_the_hedge():
-    """The winner of the race erroring is not the end: the other leg's
-    answer is used, so a hedged get only fails if both legs fail."""
-    kernel = Kernel(seed=1)
-    gateway = _hedge_gateway(
-        kernel,
-        [(1_500.0, FleetKvsError("dead primary"))],
-        [(50_000.0, b"recovered")],
-    )
-    out = _drive(kernel, gateway._hedged_get(_StubRequest(), gateway.clients[0]))
-    assert out["value"] == b"recovered"
-    assert gateway.stats["hedge_wins"] == 1
-
-
-def test_both_legs_failing_raises_for_the_retry_path():
-    kernel = Kernel(seed=1)
-    gateway = _hedge_gateway(
-        kernel,
-        [(1_500.0, FleetKvsError("one"))],
-        [(2_000.0, FleetKvsError("two"))],
-    )
-    out = _drive(kernel, gateway._hedged_get(_StubRequest(), gateway.clients[0]))
-    assert isinstance(out["error"], FleetKvsError)
-    assert kernel.pending_events == 0
-
-
-def _hedged_engine_run():
-    engine, rack, obs = _scenario(
-        dict(machines=4, replication_factor=2),
-        dict(
-            users=30_000,
-            per_user_rps=3.0,
-            duration_ns=1_000_000.0,
-            classes=(RequestClassConfig("kvs_get"),),
-            gateway=GatewayConfig(cache_slots=0, hedge_ns=2_000.0),
-        ),
-    )
-    report = engine.run()
-    report["snapshot"] = snapshot_jsonl(obs)
-    return report
-
-
-def test_hedged_scenario_conserves_and_stays_deterministic():
-    """Hedged gets complete exactly once each (the losing leg's
-    duplicate read is absorbed) and the whole run is bit-identical."""
-    first = _hedged_engine_run()
-    second = _hedged_engine_run()
-    gateway = first["gateway"]
-    assert gateway["hedges"] > 0
-    assert gateway["errors"] == 0
-    _assert_conserved(gateway)
-    assert json.dumps(first, sort_keys=True) == json.dumps(
-        second, sort_keys=True
-    )
 
 
 # -- circuit breaker --------------------------------------------------------
@@ -449,12 +253,10 @@ def test_breaker_stays_closed_on_a_healthy_rack():
 
 def test_fault_tolerance_knobs_are_off_by_default():
     """The default gateway carries no fault-tolerance machinery at
-    all: no deadlines, no retries, no hedging, no breaker objects."""
+    all: no retries, no breaker objects."""
     config = GatewayConfig()
-    assert config.hedge_ns == 0.0
     assert config.retry_budget == 0.0
     assert config.breaker_enabled is False
-    assert RequestClassConfig("kvs_get").deadline_ns == 0.0
     kernel = Kernel(seed=1)
     gateway = Gateway(kernel, config, [])
     assert gateway.breakers == {}
@@ -462,10 +264,9 @@ def test_fault_tolerance_knobs_are_off_by_default():
 
 
 def test_everything_on_chaos_run_conserves_exactly():
-    """All four mechanisms at once, under a kill: the four-term law
-    still balances to the request."""
+    """Both mechanisms at once, under a kill: the four-term law still
+    balances to the request."""
     _, _, _, report = _kill_run(
-        hedge_ns=2_000.0,
         retry_budget=0.25,
         breaker_enabled=True,
         breaker_failures=3,
