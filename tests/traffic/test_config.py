@@ -30,9 +30,13 @@ def test_defaults_are_disabled_and_valid():
         {"duration_ns": -1.0},
         {"arrival": "bursty"},
         {"arrival": "diurnal"},
+        {"flash_at_ns": -1.0},
+        {"flash_duration_ns": 0.0},
+        {"duration_ns": 0.0},
         {"flash_multiplier": 0.5},
         {"key_space": 0},
         {"key_skew": 0.5},
+        {"key_skew": 0.99},
         {"classes": ()},
     ],
 )
