@@ -16,6 +16,7 @@ separately from the calm before it.
 
 from __future__ import annotations
 
+from math import log
 from typing import TYPE_CHECKING
 
 from .config import TrafficConfig
@@ -30,34 +31,34 @@ class ArrivalModel:
     def __init__(self, config: TrafficConfig):
         self.config = config
         self.base = config.base_rate_per_ns
-        if config.arrival == "flash":
+        self._flash = config.arrival == "flash"
+        if self._flash:
             self.peak = self.base * config.flash_multiplier
         else:
             self.peak = self.base
+        # The flash window [flash_at, flash_end) in scenario time.
+        self._flash_at = config.flash_at_ns
+        self._flash_end = config.flash_at_ns + config.flash_duration_ns
+        #: Thinning's acceptance probability outside the flash window;
+        #: None where the rate never drops below the peak (``poisson``,
+        #: or a flash multiplier of 1), so no candidate needs a draw.
+        self._accept = self.base / self.peak if self.base < self.peak else None
 
     def rate_at(self, t_ns: float) -> float:
         """The instantaneous arrival rate (requests per ns) at ``t``."""
-        cfg = self.config
-        if cfg.arrival == "poisson":
-            return self.base
-        # flash
-        if cfg.flash_at_ns <= t_ns < cfg.flash_at_ns + cfg.flash_duration_ns:
-            return self.base * cfg.flash_multiplier
+        if self._flash and self._flash_at <= t_ns < self._flash_end:
+            return self.peak
         return self.base
 
     def phase_at(self, t_ns: float) -> str:
         """A label for the scenario phase at ``t`` (latency-series tag)."""
-        cfg = self.config
-        if cfg.arrival == "flash":
-            in_window = (
-                cfg.flash_at_ns <= t_ns < cfg.flash_at_ns + cfg.flash_duration_ns
-            )
-            return "flash" if in_window else "steady"
+        if self._flash and self._flash_at <= t_ns < self._flash_end:
+            return "flash"
         return "steady"
 
     def phases(self) -> tuple:
         """Every phase label this model can emit (report ordering)."""
-        if self.config.arrival == "flash":
+        if self._flash:
             return ("steady", "flash")
         return ("steady",)
 
@@ -67,14 +68,23 @@ class ArrivalModel:
         Thinning against the peak rate: candidate gaps are exponential
         at ``peak``; a candidate landing where the instantaneous rate
         is lower is rejected with the complementary probability and the
-        walk continues from there.  ``t0_ns`` is the scenario start in
-        kernel time: the rate function runs on scenario-relative time.
+        walk continues from there.  A candidate where the rate equals
+        the peak is accepted without an acceptance draw.  ``t0_ns`` is
+        the scenario start in kernel time: the rate function runs on
+        scenario-relative time.
+
+        Each candidate gap is ``-log(1.0 - random()) / peak``: the body
+        of ``Random.expovariate(peak)`` (the same in CPython 3.10 to
+        3.13), inline, so the RNG stream and every gap match it bit for
+        bit.
         """
-        rng = kernel.rng
+        random = kernel.rng.random
+        peak = self.peak
+        accept = self._accept
+        flash_at, flash_end = self._flash_at, self._flash_end
         t = kernel.now - t0_ns
         start = t
         while True:
-            t += rng.expovariate(self.peak)
-            rate = self.rate_at(t)
-            if rate >= self.peak or rng.random() < rate / self.peak:
+            t += -log(1.0 - random()) / peak
+            if accept is None or flash_at <= t < flash_end or random() < accept:
                 return t - start

@@ -121,35 +121,47 @@ class RequestSampler:
     the population; the key index applies the configured popularity
     skew (``int(key_space * u**key_skew)``), so a larger ``key_skew``
     concentrates load -- and cache hits -- on a hot subset.
+
+    Everything that does not depend on a draw is built once: every KVS
+    key (``b"u:%06d" % index``), and each class's kind checks and key
+    prefix.
     """
 
     def __init__(self, config: TrafficConfig, classes: List[RequestClass]):
         self.config = config
         self.classes = classes
-        self._cumulative: List[Tuple[float, RequestClass]] = []
+        #: (cumulative weight, class, is KVS, is put, accelerator key prefix).
+        self._cumulative: List[Tuple[float, RequestClass, bool, bool, bytes]] = []
         total = 0.0
         for cls in classes:
             total += cls.weight
-            self._cumulative.append((total, cls))
+            kvs = cls.kind in ("kvs_put", "kvs_get")
+            self._cumulative.append(
+                (total, cls, kvs, cls.kind == "kvs_put", cls.kind.encode())
+            )
         self._total_weight = total
+        self._kvs_keys: List[bytes] = []
+        if any(entry[2] for entry in self._cumulative):
+            self._kvs_keys = [b"u:%06d" % index for index in range(config.key_space)]
 
     def sample(self, kernel, phase: str) -> Request:
-        rng = kernel.rng
-        pick = rng.random() * self._total_weight
-        cls = self._cumulative[-1][1]
-        for bound, candidate in self._cumulative:
-            if pick < bound:
-                cls = candidate
+        random = kernel.rng.random
+        config = self.config
+        pick = random() * self._total_weight
+        for entry in self._cumulative:
+            if pick < entry[0]:
                 break
-        uid = int(rng.random() * self.config.users)
-        if cls.kind in ("kvs_put", "kvs_get"):
-            index = int(self.config.key_space * rng.random() ** self.config.key_skew)
-            index = min(index, self.config.key_space - 1)
-            key = b"u:%06d" % index
+        # No break: the last class, whatever rounding left in ``pick``.
+        _, cls, kvs, put, prefix = entry
+        uid = int(random() * config.users)
+        if kvs:
+            index = int(config.key_space * random() ** config.key_skew)
+            index = min(index, config.key_space - 1)
+            key = self._kvs_keys[index]
         else:
             # Accelerator classes cache per user (embedding results).
-            key = b"%s:%08d" % (cls.kind.encode(), uid)
+            key = b"%s:%08d" % (prefix, uid)
         value = b""
-        if cls.kind == "kvs_put":
+        if put:
             value = (b"p%07d" % (uid % 10_000_000)) * (PUT_VALUE_BYTES // 8)
         return Request(cls, key, value, phase, kernel.now)

@@ -10,9 +10,10 @@
 * the :class:`~repro.traffic.gateway.Gateway` decides *whether and
   how* it is served (admission, batching, cache, backends).
 
-The load is open loop: one arrival process submits at the model's rate
-regardless of completions.  This is the honest way to measure tail
-latency under overload (a closed loop self-throttles and hides it).
+The load is open loop: one self-rescheduling arrival callback submits
+at the model's rate regardless of completions.  This is the honest way
+to measure tail latency under overload (a closed loop self-throttles
+and hides it).
 
 ``run()`` drives the kernel until the scenario drains and returns the
 SLO report: per-class and per-phase p50/p99/p999 plus attainment
@@ -30,7 +31,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..fleet.rollup import FleetRollup, MergedSeries, merge_histograms
-from ..sim import Timeout
 from .arrivals import ArrivalModel
 from .classes import RequestClass, RequestSampler, build_classes
 from .config import TrafficConfig
@@ -81,29 +81,33 @@ class TrafficEngine:
 
     # -- source --------------------------------------------------------------
 
-    def _source(self):
-        """One arrival process: submit at the model's rate until the
-        scenario window closes, independent of completions."""
+    def _arrive(self, submit: bool) -> None:
+        """One step of the arrival source: submit the request arriving
+        now (every step but the first, at the scenario start), then draw
+        the gap to the next arrival and schedule the next step there,
+        until the scenario window closes.  Independent of completions."""
         kernel = self.kernel
-        duration = self.traffic.duration_ns
+        arrivals = self.arrivals
         t0 = self._t0
-        while True:
-            gap = self.arrivals.next_gap(kernel, t0)
-            if kernel.now + gap - t0 >= duration:
-                return
-            yield Timeout(gap)
-            phase = self.arrivals.phase_at(kernel.now - t0)
+        now = kernel.now
+        if submit:
+            phase = arrivals.phase_at(now - t0)
             self.gateway.submit(self.sampler.sample(kernel, phase))
+        gap = arrivals.next_gap(kernel, t0)
+        if now + gap - t0 >= self.traffic.duration_ns:
+            return
+        kernel.call_at(now + gap, self._arrive, True)
 
     # -- scenario ------------------------------------------------------------
 
     def start(self) -> None:
-        """Spawn the gateway workers and the traffic source."""
+        """Spawn the gateway workers and schedule the traffic source's
+        first step at ``now``."""
         kernel = self.kernel
         self._t0 = kernel.now
         for i in range(self.traffic.gateway.workers):
             kernel.spawn(self.gateway.worker(i), name=f"gw-worker{i}")
-        kernel.spawn(self._source(), name="traffic-source")
+        kernel.call_at(kernel.now, self._arrive, False)
 
     def run(self) -> dict:
         """Run the scenario to drain and return the SLO report.

@@ -167,6 +167,12 @@ class Gateway:
         self.rejections: List[AdmissionRejected] = []
         self._queue: "deque[Request]" = deque()
         self._idle = _IdleWorkers()
+        # Timeouts are immutable, so each fixed delay is built once and
+        # yielded again and again.
+        self._window = Timeout(config.batch_window_ns)
+        self._overhead = Timeout(config.batch_overhead_ns)
+        #: Accelerator service timeouts, by service time.
+        self._service: Dict[float, Timeout] = {}
         #: Retry-budget tokens (accrue per admitted request, spent 1/retry).
         self.retry_tokens = 0.0
         #: Per-backend-shard circuit breakers (keyed by machine name),
@@ -223,36 +229,40 @@ class Gateway:
     def submit(self, request: Request) -> bool:
         """Offer one request; returns True iff it entered the system
         (cache hit or admitted to the backend queue)."""
-        self.stats["offered"] += 1
+        stats = self.stats
+        config = self.config
+        kernel = self.kernel
+        cls = request.cls
+        stats["offered"] += 1
         if self.obs:
-            self._obs_offered.labels(request.cls.kind).inc()
-        if request.cls.cacheable and self.config.cache_slots:
+            self._obs_offered.labels(cls.kind).inc()
+        if cls.cacheable and config.cache_slots:
             if self.cache.lookup(request.key) is not None:
-                self.stats["cache_hits"] += 1
+                stats["cache_hits"] += 1
                 request.outcome = "cache_hit"
-                self.kernel.call_after(
-                    self.config.cache_hit_ns, self._complete, request
-                )
+                kernel.call_after(config.cache_hit_ns, self._complete, request)
                 return True
-        if self.config.admission:
-            if not self.bucket.take(self.kernel.now):
+        queue = self._queue
+        if config.admission:
+            if not self.bucket.take(kernel.now):
                 self._reject(request, "throttled")
                 return False
-            if len(self._queue) >= self.config.max_queue_depth:
+            if len(queue) >= config.max_queue_depth:
                 self._reject(request, "shed")
                 return False
-        self.stats["admitted"] += 1
-        if self.config.retry_budget > 0:
+        stats["admitted"] += 1
+        if config.retry_budget > 0:
             self.retry_tokens = min(
-                RETRY_TOKEN_CAP, self.retry_tokens + self.config.retry_budget
+                RETRY_TOKEN_CAP, self.retry_tokens + config.retry_budget
             )
-        self._queue.append(request)
-        depth = len(self._queue)
-        if depth > self.stats["max_queue_depth"]:
-            self.stats["max_queue_depth"] = depth
-        if self._idle.waiting:
-            woken, self._idle.waiting = self._idle.waiting, []
-            self.kernel.call_at(self.kernel.now, self._dispatch, woken)
+        queue.append(request)
+        depth = len(queue)
+        if depth > stats["max_queue_depth"]:
+            stats["max_queue_depth"] = depth
+        idle = self._idle
+        if idle.waiting:
+            woken, idle.waiting = idle.waiting, []
+            kernel.call_at(kernel.now, self._dispatch, woken)
         return True
 
     def _reject(self, request: Request, reason: str) -> None:
@@ -291,31 +301,45 @@ class Gateway:
 
         Spawned by the engine (``workers`` of them); parks in the idle
         FIFO while the queue is empty, so a finished scenario leaves the
-        workers idle and the kernel's queue drained.
+        workers idle and the kernel's queue drained.  Accelerator
+        requests run right here (a service timeout, then the cache fill
+        and completion); KVS requests go through :meth:`_execute`.
         """
         config = self.config
         queue = self._queue
+        idle = self._idle
+        batch_max = config.batch_max
+        windowed = config.batch_window_ns > 0
+        window = self._window
+        overhead = self._overhead if config.batch_overhead_ns > 0 else None
+        service = self._service
+        cache_slots = config.cache_slots
         # Service-only gateways (no KVS classes in the mix) need no clients.
         client = self.clients[index % len(self.clients)] if self.clients else None
         while True:
             if not queue:
-                batch = yield self._idle
+                batch = yield idle
             else:
-                if self._short_batch():
+                if len(queue) < batch_max and windowed:
                     # Short batch: wait briefly for it to fill under load.
-                    yield Timeout(config.batch_window_ns)
+                    yield window
                     if not queue:
                         continue
                 batch = self._take_batch()
-            if config.batch_overhead_ns > 0:
-                yield Timeout(config.batch_overhead_ns)
+            if overhead is not None:
+                yield overhead
             for request in batch:
-                yield from self._execute(request, client)
-
-    def _short_batch(self) -> bool:
-        """Should a worker wait for the queued batch to fill?"""
-        config = self.config
-        return len(self._queue) < config.batch_max and config.batch_window_ns > 0
+                cls = request.cls
+                if cls.kind == "kvs_put" or cls.kind == "kvs_get":
+                    yield from self._execute(request, client)
+                    continue
+                timeout = service.get(cls.service_ns)
+                if timeout is None:
+                    timeout = service[cls.service_ns] = Timeout(cls.service_ns)
+                yield timeout
+                if cls.cacheable and cache_slots:
+                    self.cache.fill(request.key, b"\x01")
+                self._complete(request)
 
     def _take_batch(self) -> List[Request]:
         """Pop the next batch (up to ``batch_max``) off a non-empty queue."""
@@ -330,15 +354,18 @@ class Gateway:
     def _dispatch(self, woken: List[Callable]) -> None:
         """The dispatch event: hand the queue to the woken workers in
         FIFO order."""
+        queue = self._queue
+        config = self.config
         group = None
         for resume in woken:
-            if not self._queue:
+            if not queue:
                 self._idle.waiting.append(resume)
-            elif self._short_batch():
+            elif len(queue) < config.batch_max and config.batch_window_ns > 0:
+                # Short batch: the worker would wait for it to fill.
                 if group is None:
                     group = []
                     self.kernel.call_after(
-                        self.config.batch_window_ns, self._window_closed, group
+                        config.batch_window_ns, self._window_closed, group
                     )
                 group.append(resume)
             else:
@@ -367,12 +394,12 @@ class Gateway:
         return self.breakers.get(primary)
 
     def _execute(self, request: Request, client):
+        """Run one KVS request: breaker, retry budget, write-through cache."""
         kind = request.cls.kind
         config = self.config
-        is_kvs = kind in ("kvs_put", "kvs_get")
         attempts = 0
         while True:
-            breaker = self._breaker_for(request) if is_kvs else None
+            breaker = self._breaker_for(request)
             if breaker is not None and not breaker.allow():
                 self._reject(request, "breaker")
                 return
@@ -382,14 +409,10 @@ class Gateway:
                     if config.cache_slots:
                         # Write-through: readers see the new value from cache.
                         self.cache.fill(request.key, request.value)
-                elif kind == "kvs_get":
+                else:
                     value = yield from client.get(request.key)
                     if config.cache_slots and value is not None:
                         self.cache.fill(request.key, value)
-                else:
-                    yield Timeout(request.cls.service_ns)
-                    if request.cls.cacheable and config.cache_slots:
-                        self.cache.fill(request.key, b"\x01")
             except FleetKvsError:
                 if breaker is not None:
                     breaker.record_failure()
