@@ -96,6 +96,50 @@ def test_histogram_rejects_bad_base():
         MetricsRegistry().histogram("x", base=1.0)
 
 
+def test_histogram_base_conflict_on_the_same_labels_raises():
+    r = MetricsRegistry()
+    r.histogram("lat_ns", {"class": "a"}, base=2.0)
+    with pytest.raises(ObsError, match=r"'lat_ns'.*base 2.*base 1.25"):
+        r.histogram("lat_ns", {"class": "a"}, base=1.25)
+    handle = r.family("histogram", "lat_ns", ("class",), base=1.25)
+    with pytest.raises(ObsError, match="lat_ns"):
+        handle.labels("a").observe(1.0)
+
+
+def test_histogram_base_conflict_across_label_sets_raises():
+    """Series of one metric are merged bucket by bucket, so they must
+    share one base whatever their labels."""
+    r = MetricsRegistry()
+    r.histogram("lat_ns", {"class": "a"}, base=2.0)
+    with pytest.raises(ObsError, match=r"'lat_ns'.*base 2.*base 1.25"):
+        r.histogram("lat_ns", {"class": "b"}, base=1.25)
+    with pytest.raises(ObsError):
+        r.family("histogram", "lat_ns", ("class",), base=1.25).labels("b").observe(1.0)
+    assert [m.labels for m in r.metrics()] == [{"class": "a"}]
+
+
+def test_histogram_same_base_returns_the_series_and_survives_restore():
+    r = MetricsRegistry()
+    h = r.histogram("lat_ns", {"class": "a"}, base=1.25)
+    assert r.histogram("lat_ns", {"class": "a"}, base=1.25) is h
+    assert r.histogram("lat_ns", {"class": "b"}, base=1.25).base == 1.25
+    state = r.snapshot_state()
+    # The restored registry knows the restored bases, not its own.
+    other = MetricsRegistry()
+    other.histogram("lat_ns", base=2.0)
+    other.restore_state(state)
+    assert other.histogram("lat_ns", {"class": "c"}, base=1.25).base == 1.25
+    with pytest.raises(ObsError):
+        other.histogram("lat_ns", {"class": "d"}, base=2.0)
+
+
+def test_null_registry_histograms_ignore_the_base():
+    assert NULL_REGISTRY.histogram("lat_ns", base=2.0) is NULL_INSTRUMENT
+    assert NULL_REGISTRY.histogram("lat_ns", base=1.25) is NULL_INSTRUMENT
+    handle = NULL_REGISTRY.family("histogram", "lat_ns", ("class",), base=1.25)
+    assert handle.labels("a") is NULL_INSTRUMENT
+
+
 def test_clock_stamps_events():
     t = [0.0]
     r = MetricsRegistry(clock=lambda: t[0], record_events=True)
