@@ -10,11 +10,7 @@ The output document carries:
   wall-clock rates);
 * ``calibration`` -- a fixed pure-Python spin-loop rate, the host's
   scalar interpreter speed, used by ``check_perf_regression.py`` to
-  compare rates across machines of different absolute speed;
-* ``pre_pr_baseline`` -- the same benches measured on the tree *before*
-  the hot-path pass (recorded once, from interleaved A/B runs on the
-  baseline machine), so the speedup of the pass itself stays auditable:
-  ``speedup_vs_pre_pr`` is fresh rate / pre-PR rate.
+  compare rates across machines of different absolute speed.
 
 ``--quick`` shrinks the workloads ~10x for smoke use; quick rates are
 noisier and are not suitable for committing as a baseline.
@@ -28,15 +24,6 @@ import platform
 import sys
 
 import perfkit
-
-#: Rates measured on the pre-optimization tree with the *same* bench
-#: code, interleaved A/B on one machine (best of 3 alternating rounds).
-PRE_PR_BASELINE = {
-    "kernel_dispatch": {"rate": 1_918_777, "unit": "events/s"},
-    "kernel_timeout_procs": {"rate": 768_520, "unit": "events/s"},
-    "eci_serialization": {"rate": 236_364, "unit": "msgs/s"},
-    "eci_link_flits": {"rate": 159_490, "unit": "flits/s"},
-}
 
 QUICK_SIZES = {
     "kernel_dispatch": {"events": 20_000},
@@ -58,11 +45,6 @@ def measure(quick: bool = False, repeats: int | None = None) -> dict:
             overrides.setdefault(name, {})["repeats"] = repeats
     benches = perfkit.run_all(**overrides)
     calibration = perfkit.calibrate()
-    speedup = {
-        name: round(benches[name]["rate"] / base["rate"], 3)
-        for name, base in PRE_PR_BASELINE.items()
-        if name in benches
-    }
     return {
         "schema": 1,
         "generated_by": "benchmarks/run_perf.py" + (" --quick" if quick else ""),
@@ -81,8 +63,6 @@ def measure(quick: bool = False, repeats: int | None = None) -> dict:
         },
         "calibration": calibration,
         "benches": benches,
-        "pre_pr_baseline": PRE_PR_BASELINE,
-        "speedup_vs_pre_pr": speedup,
     }
 
 
@@ -101,9 +81,7 @@ def main(argv=None) -> int:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     for name, result in doc["benches"].items():
-        speedup = doc["speedup_vs_pre_pr"].get(name)
-        extra = f"  ({speedup:.2f}x vs pre-PR)" if speedup else ""
-        print(f"{name:>22}: {result['rate']:>12,.0f} {result['unit']}{extra}")
+        print(f"{name:>22}: {result['rate']:>12,.0f} {result['unit']}")
     print(f"wrote {args.out}")
     return 0
 
