@@ -147,16 +147,22 @@ class HashTableStore:
     def load_factor(self) -> float:
         return self.items / self.n_slots
 
+    def _full_slots(self) -> list[int]:
+        """Every full slot, in slot order, from the state bytes alone:
+        only these slots need decoding."""
+        states = self.arena[::SLOT_BYTES]  # byte 0 of every slot
+        return [index for index, state in enumerate(states) if state == _FULL]
+
     def scan(self):
         """Yield every stored ``(key, value)`` pair in slot order.
 
-        The control-plane full-table walk: re-replication and rejoin
-        handoff iterate a shard's contents without knowing its keys.
+        The control-plane full-table walk: re-replication, rejoin
+        handoff and anti-entropy iterate a shard's contents without
+        knowing its keys.  It reads every slot's state byte and decodes
+        the full slots only.
         """
-        for index in range(self.n_slots):
-            state, key, value = self._slot(index)
-            if state == _FULL:
-                yield key, value
+        for index in self._full_slots():
+            yield self._slot(index)[1:]
 
     def clear(self) -> None:
         """Wipe the arena (a rejoining board comes back empty)."""
@@ -188,8 +194,7 @@ class HashTableStore:
         self.arena = bytearray(state["arena"])
         self.items = state["items"]
         self.stats.update(state["stats"])
-        slots = (self._slot(index) + (index,) for index in range(self.n_slots))
-        self._index = {key: index for state, key, _, index in slots if state == _FULL}
+        self._index = {self._slot(index)[1]: index for index in self._full_slots()}
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,12 @@ store with configurable replication, timeout-driven failover, and
 rack-level latency rollups.
 """
 
-from .antientropy import AntiEntropyScheduler, MerkleTree, replica_divergence
+from .antientropy import (
+    AntiEntropyError,
+    AntiEntropyScheduler,
+    MerkleTree,
+    replica_divergence,
+)
 from .audit import (
     AuditError,
     HistoryOp,
@@ -33,6 +38,7 @@ from .rollup import FleetRollup, MergedSeries, merge_histograms
 
 __all__ = [
     "AntiEntropyConfig",
+    "AntiEntropyError",
     "AntiEntropyScheduler",
     "AuditError",
     "FleetConfig",

@@ -29,6 +29,13 @@ Design points:
   versioned write.  Version-less keys (written into a store outside
   the KVS protocol) are only ever *filled in* where missing, mirroring
   :meth:`~repro.fleet.rack.Rack.re_replicate`.
+* **One read per store per pass.**  A pass builds one view per live
+  ring member from a single :meth:`HashTableStore.scan` and a single
+  walk of ``server.versions``, placing each key once.  Each pair then
+  takes the slice of its two views that covers the keys placed on
+  both machines.  An applied repair sets the target's view entry to
+  the repaired entry, so later pairs read what a fresh walk of the
+  stores would give.  The views are released when the pass ends.
 * **Control-plane, deterministic.**  Like ``re_replicate`` the pass is
   an instantaneous repair (no simulated wire traffic) driven by
   :meth:`Kernel.call_after`; it draws no randomness, so an enabled
@@ -47,10 +54,12 @@ import zlib
 from typing import Dict, List, Optional, Tuple
 
 from .config import AntiEntropyConfig
+from .errors import FleetError
 from .kvs import NO_VERSION
 from .placement import key_hash
 
 __all__ = [
+    "AntiEntropyError",
     "AntiEntropyScheduler",
     "MerkleTree",
     "replica_divergence",
@@ -58,6 +67,10 @@ __all__ = [
 
 #: One replica's view of a key: (version, value-digest, is-tombstone).
 Entry = Tuple[Tuple[int, int], int, bool]
+
+
+class AntiEntropyError(FleetError):
+    """A scheduler armed while its background window is still ticking."""
 
 
 def _entry_hash(key: bytes, entry: Entry) -> bytes:
@@ -140,28 +153,34 @@ class MerkleTree:
         return sorted(divergent), comparisons
 
 
-def _shared_entries(rack, name: str, partner: str) -> Dict[bytes, Entry]:
-    """One machine's view of the key range it shares with ``partner``:
-    every key (live or tombstoned) whose current placement includes
-    both machines."""
-    machine = rack.machines[name]
-    ring = rack.ring
-    server = machine.server
-    out: Dict[bytes, Entry] = {}
-    for key, value in machine.store.scan():
-        key = bytes(key)
-        place = ring.place(key)
-        if name in place and partner in place:
-            version = server.versions.get(key, NO_VERSION)
-            out[key] = (version, zlib.crc32(value), False)
-    for key, version in server.versions.items():
-        key = bytes(key)
-        if key in out or machine.store.get(key) is not None:
-            continue  # live keys were covered by the scan above
-        place = ring.place(key)
-        if name in place and partner in place:
-            out[key] = (tuple(version), 0, True)
-    return out
+def _replica_view(
+    machine, ring, placed: Dict[bytes, Tuple[str, ...]]
+) -> Dict[bytes, Entry]:
+    """One machine's entry for every key, live or tombstoned, that its
+    current placement includes.
+
+    A live key is ``(version, crc32(value), False)`` and a tombstone
+    ``(version, 0, True)``.  One store scan and one walk of the
+    versions: a key is live iff the scan yields it.  ``placed`` caches
+    ``ring.place`` across the pass's views, so each key is placed once.
+    """
+    name = machine.name
+    versions = machine.server.versions
+    entries: Dict[bytes, Entry] = {
+        key: (versions.get(key, NO_VERSION), zlib.crc32(value), False)
+        for key, value in machine.store.scan()
+    }
+    for key, version in versions.items():
+        if key not in entries:
+            entries[key] = (tuple(version), 0, True)
+    view: Dict[bytes, Entry] = {}
+    for key, entry in entries.items():
+        place = placed.get(key)
+        if place is None:
+            place = placed[key] = ring.place(key)
+        if name in place:
+            view[key] = entry
+    return view
 
 
 class AntiEntropyScheduler:
@@ -193,6 +212,8 @@ class AntiEntropyScheduler:
             obs = rack.obs if rack is not None else None
         self.obs = obs if obs is not None else NULL_REGISTRY
         self._until: Optional[float] = None
+        #: True while a tick sits in the kernel queue.
+        self._armed = False
         self.stats = {
             "passes": 0,
             "pairs_compared": 0,
@@ -219,16 +240,25 @@ class AntiEntropyScheduler:
 
         No-op when the section is disabled, so callers can arm
         unconditionally and keep the disabled path bit-identical.
+        Raises :class:`AntiEntropyError` while a tick of an earlier
+        window is still pending: a second chain would double the passes.
         """
         if not self.config.enabled:
             return
+        if self._armed:
+            raise AntiEntropyError(
+                f"anti-entropy window until {self._until} ns is still "
+                f"ticking; cannot arm another until {until_ns} ns"
+            )
         kernel = self.rack.kernel
         if until_ns <= kernel.now:
             return
         self._until = until_ns
         kernel.call_after(self.config.interval_ns, self._tick)
+        self._armed = True
 
     def _tick(self, _value=None) -> None:
+        self._armed = False
         until = self._until
         kernel = self.rack.kernel
         if until is None or kernel.now > until:
@@ -237,6 +267,7 @@ class AntiEntropyScheduler:
         self.run_pass()
         if kernel.now + self.config.interval_ns <= until:
             kernel.call_after(self.config.interval_ns, self._tick)
+            self._armed = True
         else:
             self._until = None
 
@@ -247,7 +278,8 @@ class AntiEntropyScheduler:
 
         Skips entirely (counted) while a partition is active: syncing
         across a split would copy state the quorum epoch exists to
-        fence off.
+        fence off.  Otherwise reads each member's store once into a
+        view (see :func:`_replica_view`) that lives for this pass only.
         """
         rack = self.rack
         rack.maybe_heal()
@@ -267,16 +299,31 @@ class AntiEntropyScheduler:
             if name in rack.machines and rack.machines[name].alive
         )
         epoch = rack.ring_epoch
+        placed: Dict[bytes, Tuple[str, ...]] = {}
+        # A member behind the ring's epoch is skipped by every pair, so
+        # its store is never read.
+        views = {
+            name: _replica_view(rack.machines[name], rack.ring, placed)
+            for name in members
+            if rack.machines[name].server.epoch == epoch
+        }
         repaired = 0
         for i, a in enumerate(members):
             for b in members[i + 1:]:
-                repaired += self._sync_pair(a, b, epoch)
+                repaired += self._sync_pair(a, b, epoch, views, placed)
         self.stats["repairs_applied"] += repaired
         if repaired and self.obs:
             self.obs.counter("fleet_antientropy_repairs_total").inc(repaired)
         return repaired
 
-    def _sync_pair(self, a: str, b: str, epoch: int) -> int:
+    def _sync_pair(
+        self,
+        a: str,
+        b: str,
+        epoch: int,
+        views: Dict[str, Dict[bytes, Entry]],
+        placed: Dict[bytes, Tuple[str, ...]],
+    ) -> int:
         rack = self.rack
         ma, mb = rack.machines[a], rack.machines[b]
         if ma.server.epoch != epoch or mb.server.epoch != epoch:
@@ -288,8 +335,9 @@ class AntiEntropyScheduler:
                     "fleet_antientropy_skipped_total", {"reason": "stale_epoch"}
                 ).inc()
             return 0
-        entries_a = _shared_entries(rack, a, b)
-        entries_b = _shared_entries(rack, b, a)
+        # Every key in a's view is placed on a, and likewise for b.
+        entries_a = {k: e for k, e in views[a].items() if b in placed[k]}
+        entries_b = {k: e for k, e in views[b].items() if a in placed[k]}
         depth = self.config.depth
         tree_a = MerkleTree(depth, entries_a)
         tree_b = MerkleTree(depth, entries_b)
@@ -314,21 +362,35 @@ class AntiEntropyScheduler:
                 va = ea[0] if ea is not None else NO_VERSION
                 vb = eb[0] if eb is not None else NO_VERSION
                 if va > vb:
-                    repaired += self._repair(ma, mb, key, ea)
+                    repaired += self._repair(ma, mb, key, ea, views)
                 elif vb > va:
-                    repaired += self._repair(mb, ma, key, eb)
+                    repaired += self._repair(mb, ma, key, eb, views)
                 else:
                     # Same version, different content: only version-
                     # less keys can get here, and they have no ground
                     # truth -- fill in missing copies, never
                     # overwrite (exactly re_replicate's rule).
                     if ea is not None and eb is None:
-                        repaired += self._repair(ma, mb, key, ea)
+                        repaired += self._repair(ma, mb, key, ea, views)
                     elif eb is not None and ea is None:
-                        repaired += self._repair(mb, ma, key, eb)
+                        repaired += self._repair(mb, ma, key, eb, views)
         return repaired
 
-    def _repair(self, source, target, key: bytes, entry: Entry) -> int:
+    def _repair(
+        self,
+        source,
+        target,
+        key: bytes,
+        entry: Entry,
+        views: Dict[str, Dict[bytes, Entry]],
+    ) -> int:
+        """Copy ``entry`` from ``source`` to ``target``; 1 iff applied.
+
+        An applied repair leaves the target holding exactly ``entry``:
+        ``apply_hint`` writes the version and the value or the
+        tombstone, and the version-less fill writes the value under
+        ``NO_VERSION``.  So the target's view takes ``entry`` too.
+        """
         version, _digest, tombstone = entry
         value = b"" if tombstone else source.store.get(key)
         if value is None:
@@ -340,12 +402,15 @@ class AntiEntropyScheduler:
             applied = True
         else:
             applied = False
-        if applied and self.obs:
+        if not applied:
+            return 0
+        views[target.name][key] = entry
+        if self.obs:
             self.obs.counter(
                 "fleet_antientropy_repaired_keys_total",
                 {"machine": target.name},
             ).inc()
-        return 1 if applied else 0
+        return 1
 
     # -- checkpoint/restore (repro.snap) -------------------------------------
     #
@@ -367,6 +432,7 @@ class AntiEntropyScheduler:
     def restore_state(self, state: dict) -> None:
         self.stats.update(state["stats"])
         self._until = state["until"]
+        self._armed = False  # no tick was queued at the snapshot
 
     def __repr__(self) -> str:
         return (

@@ -20,6 +20,7 @@ tree imports *us*).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -45,9 +46,11 @@ class AntiEntropyConfig:
     depth: int = 4
 
     def __post_init__(self):
-        if self.interval_ns <= 0:
+        # Written so that NaN fails too; an infinite gap would park the
+        # first tick at t = inf.
+        if not 0 < self.interval_ns < math.inf:
             raise ValueError(
-                f"interval_ns must be positive, got {self.interval_ns}"
+                f"interval_ns must be positive and finite, got {self.interval_ns}"
             )
         if not 1 <= self.depth <= 16:
             raise ValueError(f"depth must be in 1..16, got {self.depth}")

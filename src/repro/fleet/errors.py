@@ -13,6 +13,8 @@ condition.  The hierarchy:
 * ``KvsRequestAborted`` (:mod:`repro.fleet.kvs`) -- a request in
   service when its server went down; recorded (not raised) so the
   client-side timeout stays the externally visible failure.
+* ``AntiEntropyError`` (:mod:`repro.fleet.antientropy`) -- a
+  scheduler armed again while its background window still ticks.
 """
 
 from __future__ import annotations

@@ -1,11 +1,13 @@
 """The store's key index against the probe walk it replaced.
 
 ``HashTableStore`` finds a live key through a ``key -> slot`` map and
-walks the probe sequence only on a miss.  :class:`ProbeWalkStore` keeps
-the previous implementation, where every operation walks the sequence
-from the key's home slot.  Driven by the same random operations, both
-must return the same values and raise the same errors, and leave the
-same arena bytes, ``items``, ``stats`` (probe counts included) and scan.
+walks the probe sequence only on a miss; its scan decodes only slots
+whose state byte says full.  :class:`ProbeWalkStore` keeps the previous
+implementation, where every operation walks the sequence from the key's
+home slot and the scan decodes every slot.  Driven by the same random
+operations, both must return the same values and raise the same errors,
+and leave the same arena bytes, ``items``, ``stats`` (probe counts
+included) and scan.
 """
 
 from typing import Optional
@@ -16,7 +18,14 @@ from repro.apps.kvs import _EMPTY, _FULL, _TOMBSTONE, HashTableStore, KvError
 
 
 class ProbeWalkStore(HashTableStore):
-    """The store without its index: every operation probes from home."""
+    """The store without its index: every operation probes from home,
+    and the scan decodes every slot before it looks at the state."""
+
+    def scan(self):
+        for index in range(self.n_slots):
+            state, key, value = self._slot(index)
+            if state == _FULL:
+                yield key, value
 
     def put(self, key: bytes, value: bytes) -> None:
         self._validate(key, value)

@@ -7,10 +7,13 @@ apply-iff-newer, epoch-fenced, deterministic, and bit-identical when
 the section is disabled.
 """
 
+import math
+
 import pytest
 
 from repro.fleet import (
     AntiEntropyConfig,
+    AntiEntropyError,
     AntiEntropyScheduler,
     FleetConfig,
     MerkleTree,
@@ -95,6 +98,10 @@ def test_anti_entropy_disabled_by_default():
 def test_anti_entropy_config_validation():
     with pytest.raises(ValueError, match="interval_ns"):
         AntiEntropyConfig(interval_ns=0)
+    with pytest.raises(ValueError, match="interval_ns"):
+        AntiEntropyConfig(interval_ns=math.inf)
+    with pytest.raises(ValueError, match="interval_ns"):
+        AntiEntropyConfig(interval_ns=math.nan)
     with pytest.raises(ValueError, match="depth"):
         AntiEntropyConfig(depth=0)
     with pytest.raises(ValueError, match="depth"):
@@ -220,6 +227,37 @@ def test_window_runs_passes_and_drains():
     assert scheduler.stats["passes"] >= 2
     assert replica_divergence(rack) == 0
     assert scheduler._until is None
+
+
+def test_second_start_while_ticking_raises():
+    rack, _client, _obs = _rack(
+        anti_entropy=AntiEntropyConfig(enabled=True, interval_ns=1e5)
+    )
+    scheduler = AntiEntropyScheduler(rack)
+    scheduler.start(1e6)
+    with pytest.raises(AntiEntropyError, match=r"until 1000000\.0 ns .* until 2000000\.0 ns"):
+        scheduler.start(2e6)
+    rack.kernel.run()
+    assert scheduler.stats["passes"] == 10  # one chain, not two
+    scheduler.start(rack.kernel.now + 3e5)  # the window retired: re-arm
+    rack.kernel.run()
+    assert scheduler.stats["passes"] == 13
+
+
+def test_restored_scheduler_rearms_with_start():
+    rack, _client, _obs = _rack(
+        anti_entropy=AntiEntropyConfig(enabled=True, interval_ns=1e5)
+    )
+    scheduler = AntiEntropyScheduler(rack)
+    scheduler.run_pass()
+    state = scheduler.snapshot_state()
+    state["until"] = rack.kernel.now + 1e6  # restored mid-window, no tick queued
+    clone = AntiEntropyScheduler(rack)
+    clone.restore_state(state)
+    assert rack.kernel.pending_events == 0
+    clone.start(rack.kernel.now + 5e5)
+    rack.kernel.run()
+    assert clone.stats["passes"] == 1 + 5
 
 
 def test_disabled_scheduler_is_inert_and_bit_identical():
