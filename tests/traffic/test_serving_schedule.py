@@ -4,16 +4,21 @@ A hot-path change to the traffic source, the request sampler, the
 gateway or its histograms may remove work inside a callback, never a
 ``call_at`` or its moment.  These tests hold that rule to account for
 ``TrafficEngine.run()``: the recording kernel of the KVS schedule pin
-logs the ``when`` of every ``call_at`` while three 1 ms mixes run at two
-seeds.  Each case is stored as four values -- the sha256 of the repr'd
-``when`` sequence, its length, the final ``seq`` and the final ``now`` --
-and must match a golden file.
+logs the ``when`` of every ``call_at`` while three 1 ms mixes and a 1 ms cut
+of the chaos scenario run at two seeds.  Each case is stored as four
+values -- the sha256 of the repr'd ``when`` sequence, its length, the
+final ``seq`` and the final ``now`` -- and must match a golden file.
 
 * ``flash`` -- ``rack_traffic`` with its flash window moved inside the
   cut, so thinning accepts both inside and outside the window and both
   phases stamp requests;
 * ``accel`` -- recsys:gbdt 2:1, Poisson: the accelerator path only;
-* ``kvs`` -- kvs_put:kvs_get 3:1, Poisson, ``key_skew=1.0``.
+* ``kvs`` -- kvs_put:kvs_get 3:1, Poisson, ``key_skew=1.0``;
+* ``chaos`` -- ``examples/chaos_serving.py``'s configuration with the
+  kill, the 4-vs-2 split and the flash crowd moved inside the cut and
+  a 200 us anti-entropy interval, so the fault injector, two background
+  passes, circuit breakers, budgeted retries and partition drops all
+  land in the pinned schedule.
 
 To regenerate after an intentional schedule change:
 
@@ -24,15 +29,19 @@ import hashlib
 import json
 import os
 import pathlib
+import sys
 from dataclasses import replace
 
 import pytest
 
-from repro.config import preset
-from repro.fleet import Rack
+from repro.config import FaultsConfig, preset
+from repro.faults import FaultInjector
+from repro.fleet import AntiEntropyScheduler, Rack
 from repro.obs import MetricsRegistry
 from repro.traffic import RequestClassConfig, TrafficEngine
 from tests.fleet.test_event_schedule import RecordingKernel
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "..", "examples"))
 
 pytestmark = pytest.mark.traffic
 
@@ -64,20 +73,71 @@ def _traffic(mix: str):
     )
 
 
+def _pin(kernel) -> dict:
+    state = kernel.snapshot_state()
+    return {
+        "sha256": hashlib.sha256(repr(kernel.whens).encode()).hexdigest(),
+        "calls": len(kernel.whens),
+        "seq": state["seq"],
+        "now": state["now"],
+    }
+
+
 def _schedule(mix: str, seed: int):
     fleet = replace(preset("rack_traffic").fleet, seed=seed)
     kernel = RecordingKernel(seed=seed)
     obs = MetricsRegistry()
     rack = Rack(fleet, kernel=kernel, obs=obs)
     report = TrafficEngine(rack, _traffic(mix), obs=obs).run()
-    state = kernel.snapshot_state()
-    got = {
-        "sha256": hashlib.sha256(repr(kernel.whens).encode()).hexdigest(),
-        "calls": len(kernel.whens),
-        "seq": state["seq"],
-        "now": state["now"],
-    }
-    return got, report
+    return _pin(kernel), report
+
+
+#: The chaos cut's timeline: kill, split window and anti-entropy cadence.
+CHAOS_KILL_AT_NS = 300_000.0
+CHAOS_SPLIT_AT_NS = 400_000.0
+CHAOS_SPLIT_DURATION_NS = 300_000.0
+CHAOS_INTERVAL_NS = 200_000.0
+
+
+def _chaos_schedule(seed: int):
+    from chaos_serving import _chaos_config
+
+    fleet, traffic, faults = _chaos_config(seed)
+    fleet = replace(
+        fleet,
+        anti_entropy=replace(fleet.anti_entropy, interval_ns=CHAOS_INTERVAL_NS),
+    )
+    traffic = replace(
+        traffic,
+        duration_ns=1_000_000.0,
+        flash_at_ns=200_000.0,
+        flash_duration_ns=600_000.0,
+    )
+    kill, split = faults.events
+    faults = FaultsConfig(
+        events=(
+            replace(kill, at=CHAOS_KILL_AT_NS),
+            replace(split, at=CHAOS_SPLIT_AT_NS, duration=CHAOS_SPLIT_DURATION_NS),
+        )
+    )
+    kernel = RecordingKernel(seed=seed)
+    obs = MetricsRegistry()
+    rack = Rack(fleet, kernel=kernel, obs=obs)
+    FaultInjector(faults, obs=obs).arm_fleet(rack)
+    engine = TrafficEngine(rack, traffic, obs=obs)
+    scheduler = AntiEntropyScheduler(rack, obs=obs)
+    scheduler.start(until_ns=CHAOS_SPLIT_AT_NS)
+    report = engine.run()
+    return _pin(kernel), report, scheduler.stats, rack.switch.stats
+
+
+def _check_golden(case: str, got: dict) -> None:
+    if REGEN:
+        golden = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+        golden[case] = got
+        GOLDEN.write_text(json.dumps(golden, sort_keys=True, indent=1) + "\n")
+    assert GOLDEN.exists(), "golden file missing; regenerate with REPRO_REGEN_GOLDEN=1"
+    assert got == json.loads(GOLDEN.read_text())[case]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -89,10 +149,17 @@ def test_serving_schedule_matches_golden(mix, seed):
         phases = report["slo"]["phases"]
         assert sum(c["count"] for c in phases["flash"].values()) > 0
         assert sum(c["count"] for c in phases["steady"].values()) > 0
-    case = f"{mix}@{seed}"
-    if REGEN:
-        golden = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
-        golden[case] = got
-        GOLDEN.write_text(json.dumps(golden, sort_keys=True, indent=1) + "\n")
-    assert GOLDEN.exists(), "golden file missing; regenerate with REPRO_REGEN_GOLDEN=1"
-    assert got == json.loads(GOLDEN.read_text())[case]
+    _check_golden(f"{mix}@{seed}", got)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_chaos_schedule_matches_golden(seed):
+    got, report, anti_entropy, switch = _chaos_schedule(seed)
+    # The chaos case is only a pin if every failover path runs in the cut.
+    gateway = report["gateway"]
+    assert anti_entropy["passes"] > 0
+    assert gateway["shed_breaker"] > 0
+    assert gateway["retries"] > 0
+    assert gateway["errors"] > 0
+    assert switch["dropped_partitioned"] > 0
+    _check_golden(f"chaos@{seed}", got)
