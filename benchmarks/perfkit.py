@@ -265,7 +265,6 @@ def bench_traffic_kvs_mix(duration_ms: float = 3.0, repeats: int = 3) -> dict:
 
     fleet = replace(preset("rack_quorum").fleet, seed=BENCH_SEED)
     traffic = TrafficConfig(
-        enabled=True,
         users=100_000,
         per_user_rps=6.0,
         duration_ns=duration_ms * 1e6,
@@ -331,9 +330,7 @@ def bench_antientropy_sync(
             yield from client.put(b"ae-%05d" % i, b"x" * 64)
 
     rack.kernel.run_process(seed_writes())
-    scheduler = AntiEntropyScheduler(
-        rack, AntiEntropyConfig(enabled=True, interval_ns=1e6)
-    )
+    scheduler = AntiEntropyScheduler(rack, AntiEntropyConfig(interval_ns=1e6))
 
     def knock_out():
         # Drop the same ``divergent`` keys from one non-primary replica

@@ -4,17 +4,17 @@ Like the perf-kernel smokes, these assert *scenario health and
 determinism*, not wall-clock rates: the rack completes a replicated
 workload, the obs rollup sees every request, scaling the rack out
 spreads load across more shards, and the whole scenario is
-bit-identical for a fixed seed -- with the fleet section disabled,
-nothing here constructs, which is what keeps the legacy benches
-untouched by this subsystem (the zero-cost-off contract).
+bit-identical for a fixed seed.  The fleet section acts only once a
+:class:`Rack` is built from it, so the benches that build none never
+touch this subsystem.
 """
 
 import json
 
 import pytest
 
-from repro.config import FleetConfig, preset
-from repro.fleet import FleetRollup, Rack, RackError
+from repro.config import FleetConfig
+from repro.fleet import FleetRollup, Rack
 from repro.obs import MetricsRegistry
 from repro.obs.export import snapshot_jsonl
 
@@ -24,9 +24,7 @@ N_OPS = 64
 
 
 def _run_rack(machines: int, seed: int = 0xBE9C) -> dict:
-    fleet = FleetConfig(
-        enabled=True, machines=machines, replication_factor=2, seed=seed
-    )
+    fleet = FleetConfig(machines=machines, replication_factor=2, seed=seed)
     obs = MetricsRegistry()
     rack = Rack(fleet, obs=obs)
     client = rack.client()
@@ -74,13 +72,3 @@ def test_rack_scenario_is_deterministic():
     a = _run_rack(machines=4)
     b = _run_rack(machines=4)
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-
-
-def test_fleet_off_builds_nothing():
-    """The zero-cost-off contract the legacy benches rely on: every
-    pristine non-rack preset keeps the section disabled, and a disabled
-    section refuses to build a rack."""
-    for name in ("full", "bringup_4lane", "degraded"):
-        assert not preset(name).fleet.enabled
-    with pytest.raises(RackError):
-        Rack(FleetConfig())

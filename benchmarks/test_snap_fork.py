@@ -24,7 +24,7 @@ from repro.snap.protocol import restore, tagged
 
 pytestmark = pytest.mark.snap
 
-FLEET = FleetConfig(enabled=True, machines=4, replication_factor=2, seed=40)
+FLEET = FleetConfig(machines=4, replication_factor=2, seed=40)
 EPOCHS = 100         # prefix length the fork never replays
 OPS_PER_EPOCH = 12
 REPEATS = 3          # best-of-N: minimum-noise estimator

@@ -2,8 +2,8 @@
 """Chaos-hardened serving: kills and partitions mid-flash-crowd.
 
 Drives the ``rack_traffic`` preset -- the partition-tolerant
-``rack_quorum`` fleet under the ``million_users`` scenario (10^6
-open-loop users, a 10x flash crowd mid-run) -- while the fleet
+``rack_quorum`` fleet under 10^6 open-loop users with a 10x flash
+crowd mid-run -- while the fleet
 underneath is actively attacked:
 
 * at t=12 ms (inside the crowd) a ``fleet.machine`` kill takes out a
@@ -84,9 +84,7 @@ def _chaos_config(seed: int):
         # a backend worker hostage and head-of-line blocks the
         # accelerator classes behind it.
         max_retries=0,
-        anti_entropy=AntiEntropyConfig(
-            enabled=True, interval_ns=SYNC_INTERVAL_NS
-        ),
+        anti_entropy=AntiEntropyConfig(interval_ns=SYNC_INTERVAL_NS),
     )
     traffic = replace(
         cfg.traffic,

@@ -2,11 +2,11 @@
 """Serving SLOs under a flash crowd: what admission control buys.
 
 Drives the ``rack_traffic`` preset -- the partition-tolerant
-``rack_quorum`` fleet (6 boards, rf=3, w=r=2) under the
-``million_users`` traffic scenario: 10^6 simulated users open-loop at
-0.75 req/s each, a 10x flash crowd in the middle of the run, a
-gateway doing token-bucket admission, batching, and LRU caching in
-front of the shard servers and accelerator-backed app models.
+``rack_quorum`` fleet (6 boards, rf=3, w=r=2) under its traffic
+scenario: 10^6 simulated users open-loop at 0.75 req/s each, a 10x
+flash crowd in the middle of the run, a gateway doing token-bucket
+admission, batching, and LRU caching in front of the shard servers
+and accelerator-backed app models.
 
 The scenario runs **twice** from the same seed:
 

@@ -29,7 +29,6 @@ from .tree import (
     NetConfig,
     PlatformConfig,
     RequestClassConfig,
-    SnapConfig,
     TrafficConfig,
     preset,
     preset_names,
@@ -52,7 +51,6 @@ __all__ = [
     "NetConfig",
     "PlatformConfig",
     "RequestClassConfig",
-    "SnapConfig",
     "SweepPoint",
     "SweepResult",
     "TrafficConfig",

@@ -46,13 +46,7 @@ from ..interconnect.pcie import PcieParams
 from ..memory.dram import DdrChannelParams, DramConfig
 from ..net.rdma import RdmaPathParams
 from ..net.tcp import FpgaTcpParams, LinuxTcpParams
-from ..snap.config import SnapConfig
-from ..traffic.config import (
-    GatewayConfig,
-    RequestClassConfig,
-    TrafficConfig,
-    traffic_preset,
-)
+from ..traffic.config import GatewayConfig, RequestClassConfig, TrafficConfig
 from .schema import (
     ConfigError,
     apply_overrides,
@@ -78,7 +72,6 @@ __all__ = [
     "InterconnectConfig",
     "PlatformConfig",
     "RequestClassConfig",
-    "SnapConfig",
     "TrafficConfig",
     "preset",
     "preset_names",
@@ -204,11 +197,11 @@ class PlatformConfig:
     faults: FaultsConfig = field(default_factory=FaultsConfig)
     #: Supervision & graceful degradation; disabled = no machinery armed.
     health: HealthConfig = field(default_factory=HealthConfig)
-    #: Rack-scale fleet topology; disabled = no rack machinery built.
+    #: Rack-scale fleet topology; acts only once a :class:`repro.fleet.Rack`
+    #: is built from it.
     fleet: FleetConfig = field(default_factory=FleetConfig)
-    #: Checkpoint/restore & record-replay; disabled = nothing recorded.
-    snap: SnapConfig = field(default_factory=SnapConfig)
-    #: Serving front-end & traffic scenarios; disabled = nothing built.
+    #: Serving front-end & traffic scenario; acts only once a
+    #: :class:`repro.traffic.TrafficEngine` is built from it.
     traffic: TrafficConfig = field(default_factory=TrafficConfig)
 
     # -- round trips -------------------------------------------------------
@@ -320,7 +313,7 @@ def _rack8() -> PlatformConfig:
     2 (derived quorums w=2, r=1) -- the fleet demo/bench design point."""
     return PlatformConfig(
         preset="rack8",
-        fleet=FleetConfig(enabled=True, machines=8, replication_factor=2),
+        fleet=FleetConfig(machines=8, replication_factor=2),
     )
 
 
@@ -331,18 +324,32 @@ def _rack_quorum() -> PlatformConfig:
     and linearizable (hinted handoff covers the cut-off replica)."""
     return PlatformConfig(
         preset="rack_quorum",
-        fleet=FleetConfig(enabled=True, machines=6, replication_factor=3),
+        fleet=FleetConfig(machines=6, replication_factor=3),
     )
 
 
 def _rack_traffic() -> PlatformConfig:
-    """The serving design point: the ``rack_quorum`` fleet driven by
-    the ``million_users`` traffic scenario -- a million open-loop users
-    with a 6x flash crowd mid-run, gateway admission on."""
+    """The serving design point: the ``rack_quorum`` fleet driven by a
+    million open-loop users with a 10x flash crowd mid-run, gateway
+    admission on.  The base rate sits comfortably under one rack's
+    capacity; the crowd pushes the offered rate well past it, so the
+    run demonstrates what admission control is *for* -- without the
+    gateway's token bucket the backend queue grows without bound for
+    the whole window and the flash-phase p99 blows through every class
+    SLO."""
     return PlatformConfig(
         preset="rack_traffic",
-        fleet=FleetConfig(enabled=True, machines=6, replication_factor=3),
-        traffic=traffic_preset("million_users"),
+        fleet=FleetConfig(machines=6, replication_factor=3),
+        traffic=TrafficConfig(
+            users=1_000_000,
+            per_user_rps=0.75,
+            duration_ns=24_000_000.0,
+            arrival="flash",
+            flash_at_ns=10_000_000.0,
+            flash_duration_ns=6_000_000.0,
+            flash_multiplier=10.0,
+            gateway=GatewayConfig(admit_rps=1_100_000.0),
+        ),
     )
 
 

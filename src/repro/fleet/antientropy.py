@@ -38,10 +38,10 @@ Design points:
   stores would give.  The views are released when the pass ends.
 * **Control-plane, deterministic.**  Like ``re_replicate`` the pass is
   an instantaneous repair (no simulated wire traffic) driven by
-  :meth:`Kernel.call_after`; it draws no randomness, so an enabled
+  :meth:`Kernel.call_after`; it draws no randomness, so a started
   scheduler perturbs nothing but adds its own deterministic events.
-  With ``fleet.anti_entropy.enabled = False`` no scheduler is built
-  and every scenario is bit-identical to a build without this module.
+  Building a scheduler is the decision to run passes: a rack that
+  builds none runs none.
 
 The scheduler is window-bounded (:meth:`AntiEntropyScheduler.start`
 takes ``until_ns``): ticks re-arm only inside the window, so the
@@ -238,13 +238,9 @@ class AntiEntropyScheduler:
     def start(self, until_ns: float) -> None:
         """Arm background passes every ``interval_ns`` until ``until_ns``.
 
-        No-op when the section is disabled, so callers can arm
-        unconditionally and keep the disabled path bit-identical.
         Raises :class:`AntiEntropyError` while a tick of an earlier
         window is still pending: a second chain would double the passes.
         """
-        if not self.config.enabled:
-            return
         if self._armed:
             raise AntiEntropyError(
                 f"anti-entropy window until {self._until} ns is still "

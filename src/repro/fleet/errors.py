@@ -6,8 +6,8 @@ the whole family with one except clause while tests pin the specific
 condition.  The hierarchy:
 
 * :class:`FleetError` -- base class for all fleet-layer errors;
-* ``RackError`` (:mod:`repro.fleet.rack`) -- misconfigured or misused
-  rack (unknown machine names, rejoin of a live board, ...);
+* ``RackError`` (:mod:`repro.fleet.rack`) -- a misused rack (unknown
+  machine names, rejoin of a live board, overlapping partitions);
 * ``FleetKvsError`` (:mod:`repro.fleet.kvs`) -- a KVS request exhausted
   its retries;
 * ``KvsRequestAborted`` (:mod:`repro.fleet.kvs`) -- a request in

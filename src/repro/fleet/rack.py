@@ -42,7 +42,7 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 from ..apps.kvs import HashTableStore
 from ..health.state import HealthStateMachine
 from ..net.ethernet import EthernetLink
-from ..net.switch import Switch, star_topology
+from ..net.switch import star_topology
 from ..sim import Kernel
 from .config import FleetConfig
 from .errors import FleetError
@@ -51,7 +51,8 @@ from .placement import HashRing
 
 
 class RackError(FleetError):
-    """Misconfigured or misused rack."""
+    """A misused rack: an unknown machine, a live rejoin, or a partition
+    started or healed out of turn."""
 
 
 class RackMachine:
@@ -91,12 +92,7 @@ class Rack:
         from ..obs import NULL_REGISTRY
 
         if fleet is None:
-            fleet = FleetConfig(enabled=True)
-        if not fleet.enabled:
-            raise RackError(
-                "fleet section is disabled; enable it (fleet.enabled = true) "
-                "before building a Rack"
-            )
+            fleet = FleetConfig()
         self.fleet = fleet
         self.obs = obs if obs is not None else NULL_REGISTRY
         self.kernel = kernel if kernel is not None else Kernel(seed=fleet.seed)

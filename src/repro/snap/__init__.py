@@ -15,7 +15,6 @@ See DESIGN.md §13 for the state-ownership rules and restore ordering.
 """
 
 from .checkpoint import Checkpoint, checkpoint_rack, fork_rack, restore_rack
-from .config import SnapConfig
 from .protocol import (
     SNAP_SCHEMA,
     SnapshotError,
@@ -41,7 +40,6 @@ __all__ = [
     "FleetSoak",
     "MessageTap",
     "SNAP_SCHEMA",
-    "SnapConfig",
     "SnapshotError",
     "attach_taps",
     "checkpoint_rack",

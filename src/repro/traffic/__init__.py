@@ -5,7 +5,8 @@ open-loop arrival processes (Poisson, flash crowd), a workload mix
 mapped onto real app models (fleet KVS, recsys embedding lookups, GBDT
 inference), and a gateway doing admission control, batching, caching,
 budgeted retries and per-shard circuit breaking in front of the rack.
-Off by default; deterministic under the kernel seed when on.
+Building a :class:`TrafficEngine` runs a scenario; every run is
+deterministic under the kernel seed.
 """
 
 from .arrivals import ArrivalModel
@@ -23,10 +24,8 @@ from .config import (
     GatewayConfig,
     RequestClassConfig,
     TrafficConfig,
-    traffic_preset,
-    traffic_preset_names,
 )
-from .engine import TrafficEngine, TrafficError
+from .engine import TrafficEngine
 from .gateway import (
     LATENCY_METRIC,
     AdmissionRejected,
@@ -51,10 +50,7 @@ __all__ = [
     "TokenBucket",
     "TrafficConfig",
     "TrafficEngine",
-    "TrafficError",
     "build_classes",
     "gbdt_service_ns",
     "recsys_service_ns",
-    "traffic_preset",
-    "traffic_preset_names",
 ]

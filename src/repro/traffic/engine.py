@@ -41,19 +41,10 @@ from .gateway import LATENCY_METRIC, Gateway
 CLIENT_PORTS = 4
 
 
-class TrafficError(Exception):
-    """The traffic section is misconfigured for this scenario."""
-
-
 class TrafficEngine:
     """One traffic scenario against one rack."""
 
     def __init__(self, rack, traffic: TrafficConfig, obs=None):
-        if not traffic.enabled:
-            raise TrafficError(
-                "traffic section is disabled; enable it (or use a traffic "
-                "preset) before building a TrafficEngine"
-            )
         self.rack = rack
         self.traffic = traffic
         self.kernel = rack.kernel

@@ -88,10 +88,17 @@ def test_unknown_nested_key_names_dotted_path():
             {"traffic": {"classes": [{"kind": "kvs_get", "deadline_ns": 3e5}]}},
             "traffic.classes[0].deadline_ns",
         ),
+        ({"fleet": {"enabled": True}}, "fleet.enabled"),
+        ({"traffic": {"enabled": True}}, "traffic.enabled"),
+        (
+            {"fleet": {"anti_entropy": {"enabled": True}}},
+            "fleet.anti_entropy.enabled",
+        ),
+        ({"snap": {"record_taps": True}}, "snap"),
     ],
 )
 def test_removed_traffic_keys_name_dotted_path(data, path):
-    """A saved config that still sets a deleted traffic knob fails
+    """A saved config that still sets a deleted knob or section fails
     loudly instead of silently running without it."""
     with pytest.raises(ConfigError, match=re.escape(f"{path}: unknown key")):
         PlatformConfig.from_dict(data)

@@ -3,8 +3,7 @@
 The claim under test: with hinted handoff *disabled* and no reads
 issued, a rack that diverged under a partition converges to zero
 divergence through :class:`AntiEntropyScheduler` passes alone --
-apply-iff-newer, epoch-fenced, deterministic, and bit-identical when
-the section is disabled.
+apply-iff-newer, epoch-fenced and deterministic.
 """
 
 import math
@@ -22,14 +21,12 @@ from repro.fleet import (
 )
 from repro.fleet.kvs import NO_VERSION
 from repro.obs import MetricsRegistry
-from repro.obs.export import snapshot_jsonl
 
 pytestmark = [pytest.mark.fleet, pytest.mark.chaos]
 
 
 def _fleet(**overrides):
     defaults = dict(
-        enabled=True,
         machines=6,
         replication_factor=3,
         hinted_handoff=False,
@@ -91,10 +88,6 @@ def _diverge(rack, client, n=50):
 
 # -- config ------------------------------------------------------------------
 
-def test_anti_entropy_disabled_by_default():
-    assert FleetConfig(enabled=True).anti_entropy.enabled is False
-
-
 def test_anti_entropy_config_validation():
     with pytest.raises(ValueError, match="interval_ns"):
         AntiEntropyConfig(interval_ns=0)
@@ -146,9 +139,7 @@ def test_tombstones_hash_differently_from_absence():
 def test_pass_closes_post_heal_divergence_without_reads():
     rack, client, _obs = _rack()
     _diverge(rack, client)
-    scheduler = AntiEntropyScheduler(
-        rack, AntiEntropyConfig(enabled=True)
-    )
+    scheduler = AntiEntropyScheduler(rack, AntiEntropyConfig())
     repaired = scheduler.run_pass()
     assert repaired > 0
     assert replica_divergence(rack) == 0
@@ -162,7 +153,7 @@ def test_pass_is_skipped_while_partition_is_active():
     rack, client, _obs = _rack()
     _run(rack.kernel, _writes(client, 10), "w")
     _split(rack, until_ns=rack.kernel.now + 1_000_000.0)
-    scheduler = AntiEntropyScheduler(rack, AntiEntropyConfig(enabled=True))
+    scheduler = AntiEntropyScheduler(rack, AntiEntropyConfig())
     assert scheduler.run_pass() == 0
     assert scheduler.stats["skipped_partition"] == 1
     assert scheduler.stats["pairs_compared"] == 0
@@ -181,7 +172,7 @@ def test_repairs_are_apply_iff_newer():
     stale.server.versions[key] = (newest[0], max(0, newest[1] - 1))
     stale.store.put(key, b"stale-value")
     assert replica_divergence(rack) > 0
-    scheduler = AntiEntropyScheduler(rack, AntiEntropyConfig(enabled=True))
+    scheduler = AntiEntropyScheduler(rack, AntiEntropyConfig())
     scheduler.run_pass()
     assert stale.server.versions[key] == newest
     assert stale.store.get(key) == winner.store.get(key)
@@ -207,7 +198,7 @@ def test_tombstones_propagate_to_stale_replicas():
     if before_value is not None:
         victim.store.put(key, before_value)
     assert replica_divergence(rack) > 0
-    scheduler = AntiEntropyScheduler(rack, AntiEntropyConfig(enabled=True))
+    scheduler = AntiEntropyScheduler(rack, AntiEntropyConfig())
     assert scheduler.run_pass() > 0
     assert victim.store.get(key) is None
     assert replica_divergence(rack) == 0
@@ -216,9 +207,7 @@ def test_tombstones_propagate_to_stale_replicas():
 # -- the background window ---------------------------------------------------
 
 def test_window_runs_passes_and_drains():
-    rack, client, obs = _rack(
-        anti_entropy=AntiEntropyConfig(enabled=True, interval_ns=500_000.0)
-    )
+    rack, client, obs = _rack(anti_entropy=AntiEntropyConfig(interval_ns=500_000.0))
     _diverge(rack, client)
     scheduler = AntiEntropyScheduler(rack, obs=obs)
     scheduler.start(rack.kernel.now + 2_000_000.0)
@@ -230,9 +219,7 @@ def test_window_runs_passes_and_drains():
 
 
 def test_second_start_while_ticking_raises():
-    rack, _client, _obs = _rack(
-        anti_entropy=AntiEntropyConfig(enabled=True, interval_ns=1e5)
-    )
+    rack, _client, _obs = _rack(anti_entropy=AntiEntropyConfig(interval_ns=1e5))
     scheduler = AntiEntropyScheduler(rack)
     scheduler.start(1e6)
     with pytest.raises(AntiEntropyError, match=r"until 1000000\.0 ns .* until 2000000\.0 ns"):
@@ -245,9 +232,7 @@ def test_second_start_while_ticking_raises():
 
 
 def test_restored_scheduler_rearms_with_start():
-    rack, _client, _obs = _rack(
-        anti_entropy=AntiEntropyConfig(enabled=True, interval_ns=1e5)
-    )
+    rack, _client, _obs = _rack(anti_entropy=AntiEntropyConfig(interval_ns=1e5))
     scheduler = AntiEntropyScheduler(rack)
     scheduler.run_pass()
     state = scheduler.snapshot_state()
@@ -258,20 +243,6 @@ def test_restored_scheduler_rearms_with_start():
     clone.start(rack.kernel.now + 5e5)
     rack.kernel.run()
     assert clone.stats["passes"] == 1 + 5
-
-
-def test_disabled_scheduler_is_inert_and_bit_identical():
-    def run(arm: bool) -> str:
-        rack, client, obs = _rack()
-        _run(rack.kernel, _writes(client, 30), "w")
-        if arm:
-            scheduler = AntiEntropyScheduler(rack)  # fleet default: disabled
-            scheduler.start(rack.kernel.now + 5_000_000.0)
-            assert scheduler.stats["passes"] == 0
-        rack.kernel.run()
-        return snapshot_jsonl(obs)
-
-    assert run(arm=True) == run(arm=False)
 
 
 # -- divergence measure ------------------------------------------------------
@@ -295,12 +266,12 @@ def test_replica_divergence_counts_missing_and_stale():
 def test_scheduler_snapshot_round_trip():
     rack, client, _obs = _rack()
     _diverge(rack, client)
-    scheduler = AntiEntropyScheduler(rack, AntiEntropyConfig(enabled=True))
+    scheduler = AntiEntropyScheduler(rack, AntiEntropyConfig())
     scheduler.run_pass()
     from repro.snap import restore, tagged
 
     state = tagged(scheduler)
-    clone = AntiEntropyScheduler(rack, AntiEntropyConfig(enabled=True))
+    clone = AntiEntropyScheduler(rack, AntiEntropyConfig())
     restore(clone, state)
     assert clone.stats == scheduler.stats
     assert clone._until is None

@@ -64,7 +64,6 @@ def _scenario(seed: int):
     rng = random.Random(seed)
     obs = MetricsRegistry()
     fleet = FleetConfig(
-        enabled=True,
         machines=6,
         replication_factor=3,
         hinted_handoff=False,
@@ -111,7 +110,7 @@ def _scenario(seed: int):
         if i % 3 == 0:
             rack.machines[second].store.put(key, b"q-%d" % rng.randrange(10_000))
 
-    scheduler = AntiEntropyScheduler(rack, AntiEntropyConfig(enabled=True), obs=obs)
+    scheduler = AntiEntropyScheduler(rack, AntiEntropyConfig(), obs=obs)
     passes = []
 
     def run_pass():

@@ -196,12 +196,11 @@ def _write(machine, key, copy, seq):
 def _build(scheduler_cls, key_plans, raw_plans, lag):
     obs = MetricsRegistry()
     fleet = FleetConfig(
-        enabled=True,
         machines=6,
         replication_factor=3,
         hinted_handoff=False,
         kvs_slots=64,
-        anti_entropy=AntiEntropyConfig(enabled=True, depth=3),
+        anti_entropy=AntiEntropyConfig(depth=3),
     )
     rack = Rack(fleet, obs=obs)
     for key, (seq, copies, stray) in zip(KEYS, key_plans):

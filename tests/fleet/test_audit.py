@@ -141,12 +141,7 @@ def test_real_fleet_history_passes_the_audit():
     from repro.fleet import HistoryRecorder as FleetRecorder
     from repro.fleet import Rack
 
-    rack = Rack(
-        FleetConfig(
-            enabled=True, machines=5, replication_factor=3,
-            seed=0xAD17,
-        )
-    )
+    rack = Rack(FleetConfig(machines=5, replication_factor=3, seed=0xAD17))
     client = rack.client()
     recorder = HistoryRecorder(lambda: rack.kernel.now)
     assert FleetRecorder is HistoryRecorder

@@ -31,7 +31,6 @@ SHARED_KEYS = (b"shared-0", b"shared-1", b"shared-2", b"shared-3")
 
 def _rack(**overrides):
     defaults = dict(
-        enabled=True,
         machines=6,
         replication_factor=3,
         seed=0xC0AD17,
@@ -171,15 +170,12 @@ def test_traffic_engine_attach_history_feeds_every_client_port():
 
     obs = MetricsRegistry()
     rack = Rack(
-        FleetConfig(
-            enabled=True, machines=4, replication_factor=2, seed=0xC0AD18
-        ),
+        FleetConfig(machines=4, replication_factor=2, seed=0xC0AD18),
         obs=obs,
     )
     engine = TrafficEngine(
         rack,
         TrafficConfig(
-            enabled=True,
             users=30_000,
             per_user_rps=3.0,
             duration_ns=1_000_000.0,

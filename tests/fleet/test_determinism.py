@@ -22,9 +22,7 @@ pytestmark = pytest.mark.fleet
 
 
 def _run(seed: int, machines: int = 4, kill: bool = True) -> dict:
-    fleet = FleetConfig(
-        enabled=True, machines=machines, replication_factor=2, seed=seed
-    )
+    fleet = FleetConfig(machines=machines, replication_factor=2, seed=seed)
     obs = MetricsRegistry()
     rack = Rack(fleet, obs=obs)
     client = rack.client()

@@ -27,9 +27,7 @@ KILL_AT_NS = 14_000.0
 
 
 def _fleet(**overrides):
-    defaults = dict(
-        enabled=True, machines=4, replication_factor=2, seed=0xD00F
-    )
+    defaults = dict(machines=4, replication_factor=2, seed=0xD00F)
     defaults.update(overrides)
     return FleetConfig(**defaults)
 

@@ -24,7 +24,6 @@ MIN = ("enzian4", "enzian5")
 
 def _rack(**overrides):
     defaults = dict(
-        enabled=True,
         machines=6,
         replication_factor=3,
         hinted_handoff=True,

@@ -27,7 +27,6 @@ GROUP_ARG = ",".join(MAJ) + "|" + ",".join(MIN)
 
 def _fleet(**overrides):
     defaults = dict(
-        enabled=True,
         machines=6,
         replication_factor=3,
         seed=0x9A127,

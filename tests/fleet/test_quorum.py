@@ -22,7 +22,6 @@ pytestmark = [pytest.mark.fleet, pytest.mark.partition]
 
 def _fleet(**overrides):
     defaults = dict(
-        enabled=True,
         machines=5,
         replication_factor=3,
         seed=0xC0FE,
@@ -43,7 +42,7 @@ def _rack(**overrides):
     "rf, w, r", [(1, 1, 1), (2, 2, 1), (3, 2, 2), (4, 3, 2), (5, 3, 3)]
 )
 def test_quorums_derive_from_replication_factor(rf, w, r):
-    cfg = FleetConfig(enabled=True, machines=5, replication_factor=rf)
+    cfg = FleetConfig(machines=5, replication_factor=rf)
     assert (cfg.write_quorum, cfg.read_quorum) == (w, r)
     # A strict write majority, and every read intersects every write.
     assert 2 * cfg.write_quorum > rf
@@ -52,7 +51,7 @@ def test_quorums_derive_from_replication_factor(rf, w, r):
 
 def test_quorums_are_not_settable():
     with pytest.raises(TypeError):
-        FleetConfig(enabled=True, machines=5, replication_factor=3, write_quorum=2)
+        FleetConfig(machines=5, replication_factor=3, write_quorum=2)
 
 
 # -- the happy path ----------------------------------------------------------

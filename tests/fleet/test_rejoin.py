@@ -21,7 +21,7 @@ from repro.obs import MetricsRegistry
 
 pytestmark = pytest.mark.fleet
 
-FLEET = FleetConfig(enabled=True, machines=4, replication_factor=2, seed=606)
+FLEET = FleetConfig(machines=4, replication_factor=2, seed=606)
 
 
 def _loaded_rack(n_keys=24):

@@ -15,7 +15,7 @@ from repro.obs import MetricsRegistry
 
 pytestmark = pytest.mark.fleet
 
-FLEET = FleetConfig(enabled=True, machines=5, replication_factor=2, seed=212)
+FLEET = FleetConfig(machines=5, replication_factor=2, seed=212)
 
 
 def _loaded_rack(n_keys=30):

@@ -36,7 +36,6 @@ def _build():
     obs = MetricsRegistry()
     rack = Rack(
         FleetConfig(
-            enabled=True,
             machines=6,
             replication_factor=3,
             hinted_handoff=False,
@@ -44,9 +43,7 @@ def _build():
         ),
         obs=obs,
     )
-    scheduler = AntiEntropyScheduler(
-        rack, AntiEntropyConfig(enabled=True, interval_ns=500_000.0)
-    )
+    scheduler = AntiEntropyScheduler(rack, AntiEntropyConfig(interval_ns=500_000.0))
     return rack, rack.client(), scheduler
 
 
@@ -105,7 +102,7 @@ def test_mid_chaos_checkpoint_with_scheduler_extra_is_bit_identical():
         extras={
             "anti_entropy": (
                 sched_c := AntiEntropyScheduler(
-                    None, AntiEntropyConfig(enabled=True, interval_ns=500_000.0)
+                    None, AntiEntropyConfig(interval_ns=500_000.0)
                 )
             )
         },
@@ -142,9 +139,7 @@ def _gateway_pair():
     def build():
         obs = MetricsRegistry()
         rack = Rack(
-            FleetConfig(
-                enabled=True, machines=4, replication_factor=2, seed=0xC4A1
-            ),
+            FleetConfig(machines=4, replication_factor=2, seed=0xC4A1),
             obs=obs,
         )
         client = rack.client("gw0")

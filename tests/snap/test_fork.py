@@ -18,7 +18,7 @@ from repro.snap.protocol import restore, tagged
 
 pytestmark = pytest.mark.snap
 
-FLEET = FleetConfig(enabled=True, machines=4, replication_factor=2, seed=5150)
+FLEET = FleetConfig(machines=4, replication_factor=2, seed=5150)
 
 
 def _checkpointed_soak(epochs=3):

@@ -28,7 +28,6 @@ def _build():
     obs = MetricsRegistry()
     rack = Rack(
         FleetConfig(
-            enabled=True,
             machines=6,
             replication_factor=3,
             seed=0x51AB,

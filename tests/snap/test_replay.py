@@ -22,7 +22,6 @@ from repro.snap import (
     attach_taps,
     replay_board,
     trace_from_jsonl,
-    trace_to_jsonl,
 )
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "..", "examples"))
@@ -68,7 +67,7 @@ def test_rack_kvs_example_board_replays_bit_identically():
 
 
 def test_trace_round_trips_through_jsonl():
-    fleet = FleetConfig(enabled=True, machines=3, replication_factor=2, seed=4)
+    fleet = FleetConfig(machines=3, replication_factor=2, seed=4)
     obs = MetricsRegistry()
     rack = Rack(fleet, obs=obs)
     taps = attach_taps(rack)
@@ -83,7 +82,7 @@ def test_trace_round_trips_through_jsonl():
 
 
 def test_replay_reproduces_store_arena():
-    fleet = FleetConfig(enabled=True, machines=3, replication_factor=2, seed=9)
+    fleet = FleetConfig(machines=3, replication_factor=2, seed=9)
     obs = MetricsRegistry()
     rack = Rack(fleet, obs=obs)
     taps = attach_taps(rack)
@@ -99,7 +98,7 @@ def test_replay_reproduces_store_arena():
 
 
 def test_recording_does_not_perturb_the_run():
-    fleet = FleetConfig(enabled=True, machines=3, replication_factor=2, seed=6)
+    fleet = FleetConfig(machines=3, replication_factor=2, seed=6)
 
     def run(record):
         obs = MetricsRegistry()

@@ -13,7 +13,7 @@ pytestmark = pytest.mark.traffic
 
 
 def _config(**overrides):
-    defaults = dict(enabled=True, users=10_000, per_user_rps=10.0)
+    defaults = dict(users=10_000, per_user_rps=10.0)
     defaults.update(overrides)
     return TrafficConfig(**defaults)
 

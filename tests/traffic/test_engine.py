@@ -8,22 +8,19 @@ from repro.config import FleetConfig, preset
 from repro.fleet import Rack
 from repro.obs import MetricsRegistry
 from repro.obs.export import snapshot_jsonl
-from repro.traffic import TrafficConfig, TrafficEngine, TrafficError
+from repro.traffic import TrafficConfig, TrafficEngine
 
 pytestmark = pytest.mark.traffic
 
 
 def _fleet(**overrides):
-    defaults = dict(
-        enabled=True, machines=4, replication_factor=2, seed=0xBEEF
-    )
+    defaults = dict(machines=4, replication_factor=2, seed=0xBEEF)
     defaults.update(overrides)
     return FleetConfig(**defaults)
 
 
 def _traffic(**overrides):
     defaults = dict(
-        enabled=True,
         users=20_000,
         per_user_rps=2.0,
         duration_ns=1_500_000.0,
@@ -42,12 +39,6 @@ def _run(fleet=None, traffic=None):
     report = engine.run()
     report["snapshot"] = snapshot_jsonl(obs)
     return engine, report
-
-
-def test_engine_requires_an_enabled_section():
-    rack = Rack(_fleet())
-    with pytest.raises(TrafficError):
-        TrafficEngine(rack, TrafficConfig(enabled=False))
 
 
 def test_open_loop_conserves_every_offered_request():
@@ -114,10 +105,9 @@ def test_offered_counters_reach_the_registry():
 
 
 def test_disabled_traffic_leaves_fleet_runs_bit_identical():
-    """The section is zero-cost when off: a fleet workload on a tree
-    with the traffic package present must not consume any extra RNG or
-    schedule anything -- byte-identical metrics with the section at its
-    default (disabled) state."""
+    """The traffic section acts only through a TrafficEngine: a fleet
+    workload that builds none must not consume any extra RNG or
+    schedule anything, so its metrics are byte-identical run to run."""
     def fleet_run():
         obs = MetricsRegistry()
         rack = Rack(preset("rack_quorum").fleet, obs=obs)

@@ -66,7 +66,6 @@ def test_lru_cache_invalidate_and_zero_slots():
 def _service_gateway(kernel, **gw_overrides):
     """A gateway over service-time classes only (no KVS clients)."""
     traffic = TrafficConfig(
-        enabled=True,
         classes=(
             RequestClassConfig("recsys", weight=1.0),
             RequestClassConfig("gbdt", weight=1.0),
@@ -189,10 +188,10 @@ def test_batch_max_one_disables_batching():
 # -- KVS write-through (needs a rack) --------------------------------------
 
 def test_put_write_through_serves_the_next_get_from_cache():
-    fleet = FleetConfig(enabled=True, machines=2, replication_factor=1, seed=5)
+    fleet = FleetConfig(machines=2, replication_factor=1, seed=5)
     rack = Rack(fleet)
     kernel = rack.kernel
-    traffic = TrafficConfig(enabled=True)
+    traffic = TrafficConfig()
     classes = {c.kind: c for c in build_classes(traffic)}
     client = rack.client("gw0")
     gateway = Gateway(kernel, GatewayConfig(workers=1), clients=[client])
@@ -219,7 +218,7 @@ def _dispatch_scenario(arrivals, workers=3):
     gateway with ``workers`` parked workers (one client port each,
     ``batch_max=2``, a 1 us batch window).  Returns
     ``{key: (completion_ns, client_port)}``."""
-    fleet = FleetConfig(enabled=True, machines=3, replication_factor=1, seed=5)
+    fleet = FleetConfig(machines=3, replication_factor=1, seed=5)
     rack = Rack(fleet)
     kernel = rack.kernel
     clients = [rack.client(f"gw{i}") for i in range(workers)]
@@ -233,7 +232,7 @@ def _dispatch_scenario(arrivals, workers=3):
     gateway = Gateway(kernel, config, clients=clients)
     for i in range(workers):
         kernel.spawn(gateway.worker(i), name=f"worker{i}")
-    put = {c.kind: c for c in build_classes(TrafficConfig(enabled=True))}["kvs_put"]
+    put = {c.kind: c for c in build_classes(TrafficConfig())}["kvs_put"]
 
     def arrive(key):
         gateway.submit(Request(put, key, b"v", "steady", kernel.now))

@@ -30,12 +30,10 @@ KVS_MIX = (
 
 
 def _scenario(fleet_kw, traffic_kw, seed=0xFA11):
-    fleet = FleetConfig(enabled=True, seed=seed, **fleet_kw)
+    fleet = FleetConfig(seed=seed, **fleet_kw)
     obs = MetricsRegistry()
     rack = Rack(fleet, obs=obs)
-    engine = TrafficEngine(
-        rack, TrafficConfig(enabled=True, **traffic_kw), obs=obs
-    )
+    engine = TrafficEngine(rack, TrafficConfig(**traffic_kw), obs=obs)
     return engine, rack, obs
 
 

@@ -64,7 +64,6 @@ MIXES = [
 )
 def test_sample_matches_the_reference(seed, mix, users, key_space, key_skew, phase, n):
     config = TrafficConfig(
-        enabled=True,
         users=users,
         key_space=key_space,
         key_skew=key_skew,
@@ -88,7 +87,6 @@ def test_a_pick_on_a_class_bound_takes_the_next_class():
     """``pick < bound`` is strict: a pick exactly on the first class's
     cumulative weight selects the second class."""
     config = TrafficConfig(
-        enabled=True,
         classes=(RequestClassConfig("kvs_get", weight=1.0), RequestClassConfig("kvs_put", weight=1.0)),
     )
     classes = build_classes(config)

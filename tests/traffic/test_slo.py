@@ -20,15 +20,13 @@ from repro.traffic import GatewayConfig, TrafficConfig, TrafficEngine
 pytestmark = pytest.mark.traffic
 
 FLEET = FleetConfig(
-    enabled=True,
     machines=4,
     replication_factor=3,
     seed=0xA11C,
 )
 
-# A scaled-down million_users: base load ~25% of capacity, 12x crowd.
+# A scaled-down rack_traffic scenario: base load ~25% of capacity, 12x crowd.
 TRAFFIC = TrafficConfig(
-    enabled=True,
     users=200_000,
     per_user_rps=3.0,
     duration_ns=6_000_000.0,
