@@ -11,12 +11,8 @@ software inference (the functional path really runs the ensemble).
 import numpy as np
 
 from repro.analysis import render_table
-from repro.apps.gbdt import (
-    FIGURE9_PLATFORMS,
-    GbdtAccelerator,
-    GradientBoostedEnsemble,
-    figure9_throughputs,
-)
+from repro.apps.gbdt import FIGURE9_PLATFORMS, GbdtAccelerator, figure9_throughputs
+from repro.apps.gbdt.model import GradientBoostedEnsemble
 
 PAPER_MTUPLES = {
     "Harp-v2": {1: 33, 2: 66},

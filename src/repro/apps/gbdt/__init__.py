@@ -1,4 +1,9 @@
-"""Gradient-boosted decision-tree inference (the §5.3 workload)."""
+"""Gradient-boosted decision-tree inference (the §5.3 workload).
+
+The package exports the engine and its Figure-9 throughput model, which
+need no numpy.  The ensemble itself is in :mod:`.model` and the
+streaming run in :mod:`.streaming`; import them from there.
+"""
 
 from .accel import (
     CYCLES_PER_TUPLE,
@@ -7,18 +12,11 @@ from .accel import (
     GbdtAccelerator,
     figure9_throughputs,
 )
-from .model import DecisionTree, GradientBoostedEnsemble, TreeNode
-from .streaming import StreamingResult, run_streaming_inference
 
 __all__ = [
     "CYCLES_PER_TUPLE",
-    "DecisionTree",
     "EnginePlatform",
     "FIGURE9_PLATFORMS",
     "GbdtAccelerator",
-    "GradientBoostedEnsemble",
-    "StreamingResult",
-    "TreeNode",
-    "run_streaming_inference",
     "figure9_throughputs",
 ]

@@ -16,13 +16,15 @@ highest speed available" -- which is exactly why Enzian wins Figure 9.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict
 
 from ...fpga.afu import Afu
 from ...fpga.fabric import FabricResources
-from .model import GradientBoostedEnsemble
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .model import GradientBoostedEnsemble
 
 TUPLE_BYTES = 64  # feature vector + metadata, as in the 64 KB batch setup
 
@@ -59,6 +61,24 @@ FIGURE9_PLATFORMS: Dict[str, EnginePlatform] = {
 #: Pipeline issue interval: a new tuple enters every N cycles (bounded
 #: by tree-level dependent memory lookups).
 CYCLES_PER_TUPLE = 6.25
+
+
+def compute_tuples_per_s(platform: EnginePlatform, engines: int) -> float:
+    """Tuples/s that ``engines`` pipelines issue at the platform clock."""
+    return platform.clock_mhz * 1e6 * engines / CYCLES_PER_TUPLE
+
+
+def bandwidth_tuples_per_s(platform: EnginePlatform) -> float:
+    """Tuples/s the platform's host link can stream."""
+    return platform.host_bandwidth_gbps * 1e9 / 8 / TUPLE_BYTES * 8
+
+
+def streaming_tuples_per_s(platform: EnginePlatform, engines: int) -> float:
+    """Steady-state streaming throughput with double buffering: the
+    compute bound, capped by the host link.  A pure function of the
+    platform and the engine count, so a serving scenario can price a
+    request without an ensemble."""
+    return min(compute_tuples_per_s(platform, engines), bandwidth_tuples_per_s(platform))
 
 
 class GbdtAccelerator(Afu):
@@ -99,16 +119,16 @@ class GbdtAccelerator(Afu):
 
     @property
     def compute_tuples_per_s(self) -> float:
-        return self.platform.clock_mhz * 1e6 * self.engines / CYCLES_PER_TUPLE
+        return compute_tuples_per_s(self.platform, self.engines)
 
     @property
     def bandwidth_tuples_per_s(self) -> float:
-        return self.platform.host_bandwidth_gbps * 1e9 / 8 / TUPLE_BYTES * 8
+        return bandwidth_tuples_per_s(self.platform)
 
     @property
     def throughput_tuples_per_s(self) -> float:
         """Steady-state streaming throughput with double buffering."""
-        return min(self.compute_tuples_per_s, self.bandwidth_tuples_per_s)
+        return streaming_tuples_per_s(self.platform, self.engines)
 
     @property
     def throughput_mtuples_per_s(self) -> float:

@@ -16,11 +16,12 @@ throughput.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict
 
 from ..memory.dram import DramConfig, enzian_fpga_dram
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class RecsysError(ValueError):
@@ -37,6 +38,8 @@ class EmbeddingModel:
         dim: int = 64,
         seed: int = 0,
     ):
+        import numpy as np
+
         if n_tables < 1 or rows_per_table < 1 or dim < 1:
             raise RecsysError("model dimensions must be positive")
         rng = np.random.default_rng(seed)
@@ -58,6 +61,8 @@ class EmbeddingModel:
 
     def score(self, indices: np.ndarray) -> np.ndarray:
         """Score a batch: indices is (batch, n_tables) of row ids."""
+        import numpy as np
+
         indices = np.asarray(indices)
         if indices.ndim != 2 or indices.shape[1] != self.n_tables:
             raise RecsysError(
@@ -130,19 +135,31 @@ class RecsysAccelerator:
         return self.model.score(indices)
 
     def requests_per_s(self) -> float:
-        """Throughput: per request, n_tables gathers + the dense MAC."""
-        p = self.placement
-        row_bytes = self.model.dim * 4
-        gathers = self.model.n_tables
-        # Little's law on the gather engine: latency-bound rate times
-        # parallelism, capped by bandwidth.
-        per_gather_ns = max(
-            p.gather_latency_ns / p.parallelism, row_bytes / p.gather_bandwidth
+        """Throughput of this model's shape on this placement."""
+        return engine_requests_per_s(
+            self.model.n_tables, self.model.dim, self.placement, self.clock_mhz
         )
-        gather_ns = gathers * per_gather_ns
-        mac_cycles = self.model.dim / 8  # 8 MACs/cycle
-        compute_ns = mac_cycles * 1_000.0 / self.clock_mhz
-        return 1e9 / max(gather_ns, compute_ns)
+
+
+def engine_requests_per_s(
+    n_tables: int, dim: int, placement: EmbeddingPlacement, clock_mhz: float = 300.0
+) -> float:
+    """Throughput: per request, n_tables gathers + the dense MAC.
+
+    Only the model's shape enters, never its tables, so a serving
+    scenario can price a request without building them.
+    """
+    row_bytes = dim * 4
+    # Little's law on the gather engine: latency-bound rate times
+    # parallelism, capped by bandwidth.
+    per_gather_ns = max(
+        placement.gather_latency_ns / placement.parallelism,
+        row_bytes / placement.gather_bandwidth,
+    )
+    gather_ns = n_tables * per_gather_ns
+    mac_cycles = dim / 8  # 8 MACs/cycle
+    compute_ns = mac_cycles * 1_000.0 / clock_mhz
+    return 1e9 / max(gather_ns, compute_ns)
 
 
 def placement_comparison(model: EmbeddingModel) -> Dict[str, float]:

@@ -34,28 +34,19 @@ PUT_VALUE_BYTES = 64
 
 
 def recsys_service_ns() -> float:
-    """Per-request service time of the FPGA-resident recsys engine."""
-    from ..apps.recsys import (
-        EmbeddingModel,
-        RecsysAccelerator,
-        enzian_fpga_placement,
-    )
+    """Per-request service time of the FPGA-resident recsys engine
+    (eight 64-wide tables), priced from the model's shape alone."""
+    from ..apps.recsys import engine_requests_per_s, enzian_fpga_placement
 
-    # Throughput depends on table count/dim and placement, not rows;
-    # keep the functional tables tiny so construction stays cheap.
-    model = EmbeddingModel(n_tables=8, rows_per_table=64, dim=64, seed=0)
-    accel = RecsysAccelerator(model, enzian_fpga_placement())
-    return 1e9 / accel.requests_per_s()
+    return 1e9 / engine_requests_per_s(8, 64, enzian_fpga_placement())
 
 
 def gbdt_service_ns(tuples: int = GBDT_REQUEST_TUPLES) -> float:
     """Service time of one GBDT scoring request on the Enzian engine."""
-    from ..apps.gbdt.accel import CYCLES_PER_TUPLE, FIGURE9_PLATFORMS, TUPLE_BYTES
+    from ..apps.gbdt.accel import FIGURE9_PLATFORMS, streaming_tuples_per_s
 
     platform = FIGURE9_PLATFORMS["Enzian"]
-    compute = platform.clock_mhz * 1e6 * platform.max_engines / CYCLES_PER_TUPLE
-    bandwidth = platform.host_bandwidth_gbps * 1e9 / TUPLE_BYTES
-    return tuples / min(compute, bandwidth) * 1e9
+    return tuples / streaming_tuples_per_s(platform, platform.max_engines) * 1e9
 
 
 @dataclass(frozen=True)

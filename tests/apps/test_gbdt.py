@@ -5,12 +5,11 @@ import pytest
 
 from repro.apps.gbdt import (
     FIGURE9_PLATFORMS,
-    DecisionTree,
     EnginePlatform,
     GbdtAccelerator,
-    GradientBoostedEnsemble,
     figure9_throughputs,
 )
+from repro.apps.gbdt.model import DecisionTree, GradientBoostedEnsemble
 
 
 def make_dataset(n=400, seed=0):

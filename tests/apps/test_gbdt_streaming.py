@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.apps.gbdt import FIGURE9_PLATFORMS, GbdtAccelerator, GradientBoostedEnsemble
+from repro.apps.gbdt import FIGURE9_PLATFORMS, GbdtAccelerator
+from repro.apps.gbdt.model import GradientBoostedEnsemble
 from repro.apps.gbdt.streaming import run_streaming_inference
 
 

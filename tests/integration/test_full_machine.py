@@ -9,7 +9,8 @@ from repro.platform import EnzianMachine, run_figure12
 def test_boot_then_load_afu_then_measure():
     """Boot the machine, load a GBDT AFU into a shell slot, run
     inference, and read power through the BMC -- the whole stack."""
-    from repro.apps.gbdt import FIGURE9_PLATFORMS, GbdtAccelerator, GradientBoostedEnsemble
+    from repro.apps.gbdt import FIGURE9_PLATFORMS, GbdtAccelerator
+    from repro.apps.gbdt.model import GradientBoostedEnsemble
 
     machine = EnzianMachine()
     machine.power_on()

@@ -37,11 +37,8 @@ def test_preset_boots_to_linux_under_supervision(name):
 
 @pytest.mark.parametrize("name", SUPERVISED_PRESETS)
 def test_preset_runs_gbdt_workload_under_supervision(name):
-    from repro.apps.gbdt import (
-        FIGURE9_PLATFORMS,
-        GbdtAccelerator,
-        GradientBoostedEnsemble,
-    )
+    from repro.apps.gbdt import FIGURE9_PLATFORMS, GbdtAccelerator
+    from repro.apps.gbdt.model import GradientBoostedEnsemble
 
     machine = _supervised_machine(name)
     machine.power_on()

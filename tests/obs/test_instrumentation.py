@@ -4,7 +4,8 @@ registry, and attaching no registry changes no benchmark output."""
 import numpy as np
 import pytest
 
-from repro.apps.gbdt import FIGURE9_PLATFORMS, GbdtAccelerator, GradientBoostedEnsemble
+from repro.apps.gbdt import FIGURE9_PLATFORMS, GbdtAccelerator
+from repro.apps.gbdt.model import GradientBoostedEnsemble
 from repro.apps.gbdt.streaming import run_streaming_inference
 from repro.apps.vision.frames import synthetic_frame
 from repro.apps.vision.pipeline import (
