@@ -9,6 +9,7 @@ rails to settle.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .i2c import I2cBus
@@ -126,8 +127,12 @@ class PowerManager:
             obs.use_clock(lambda: self.clock.now_s, override=False)
         if max_resequence_attempts < 0:
             raise ValueError("max_resequence_attempts must be non-negative")
-        if resequence_backoff_s < 0:
-            raise ValueError("resequence_backoff_s must be non-negative")
+        # Written so that NaN fails too: a NaN backoff would turn the board
+        # clock NaN at the first re-sequence.
+        if not 0 <= resequence_backoff_s < math.inf:
+            raise ValueError(
+                f"resequence_backoff_s must be non-negative and finite, got {resequence_backoff_s}"
+            )
         #: Recovery policy: how many times a faulting rail group is shut
         #: down, cleared, and re-sequenced before the fault is fatal.
         #: 0 keeps the historical fail-fast behaviour.

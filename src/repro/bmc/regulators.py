@@ -16,6 +16,7 @@ could trigger a short circuit on a high current (over 150 Amps) line").
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
@@ -38,8 +39,9 @@ class BoardClock:
         self.now_s = 0.0
 
     def advance(self, dt_s: float) -> None:
-        if dt_s < 0:
-            raise ValueError("time only moves forward")
+        # Written so that NaN fails too.
+        if not 0 <= dt_s < math.inf:
+            raise ValueError(f"time only moves forward, by a finite step; got {dt_s}")
         self.now_s += dt_s
 
 

@@ -50,6 +50,7 @@ first group, which is by convention the majority/controller side.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Tuple
 
@@ -198,8 +199,9 @@ class FaultRecoveryConfig:
     def __post_init__(self):
         if self.max_resequence_attempts < 0:
             raise ValueError("max_resequence_attempts must be non-negative")
-        if self.resequence_backoff_s < 0:
-            raise ValueError("resequence_backoff_s must be non-negative")
+        # Written so that NaN fails too, as in PowerManager.
+        if not 0 <= self.resequence_backoff_s < math.inf:
+            raise ValueError("resequence_backoff_s must be non-negative and finite")
         if self.max_stage_retries < 0:
             raise ValueError("max_stage_retries must be non-negative")
         if self.stage_timeout_s <= 0:

@@ -1,5 +1,7 @@
 """Tests for regulators and the power manager firmware."""
 
+import math
+
 import pytest
 
 from repro.bmc import (
@@ -294,5 +296,15 @@ def test_decode_status_flags():
 def test_resequence_validation():
     with pytest.raises(ValueError):
         PowerManager(max_resequence_attempts=-1)
-    with pytest.raises(ValueError):
-        PowerManager(resequence_backoff_s=-0.1)
+    for backoff in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            PowerManager(resequence_backoff_s=backoff)
+
+
+@pytest.mark.parametrize("dt_s", [math.nan, math.inf])
+def test_board_clock_rejects_bad_steps(dt_s):
+    clock = BoardClock()
+    clock.advance(0.5)
+    with pytest.raises(ValueError, match="forward"):
+        clock.advance(dt_s)
+    assert clock.now_s == 0.5

@@ -1,6 +1,7 @@
 """FaultSpec/FaultsConfig validation and config-tree integration."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -75,6 +76,9 @@ def test_spec_field_validation():
 def test_recovery_validation():
     with pytest.raises(ValueError):
         FaultRecoveryConfig(max_resequence_attempts=-1)
+    for backoff in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            FaultRecoveryConfig(resequence_backoff_s=backoff)
     with pytest.raises(ValueError):
         FaultRecoveryConfig(stage_timeout_s=0.0)
     # Defaults are fail-fast: recovery is opt-in.
