@@ -56,12 +56,11 @@ class LoadBook:
         self.throttle = 1.0
 
     def set_demand(self, rail: str, watts: float) -> None:
-        if watts < 0:
-            raise ValueError("demand must be non-negative")
+        # Written so that NaN fails too: a NaN demand would otherwise
+        # surface at the next current read, in the LINEAR11 encoder.
+        if not 0 <= watts < math.inf:
+            raise ValueError(f"demand must be non-negative and finite, got {watts}")
         self._demand_w[rail] = watts
-
-    def add_demand(self, rail: str, watts: float) -> None:
-        self._demand_w[rail] = self._demand_w.get(rail, 0.0) + watts
 
     def demand_w(self, rail: str) -> float:
         return self._demand_w.get(rail, 0.0) * self.throttle

@@ -14,6 +14,7 @@ loaded when the CPU comes out of reset.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
@@ -61,8 +62,10 @@ class BootOrchestrator:
 
         if max_stage_retries < 0:
             raise ValueError("max_stage_retries must be non-negative")
-        if stage_timeout_s <= 0:
-            raise ValueError("stage_timeout_s must be positive")
+        # Written so that NaN fails too: a hung stage advances the board
+        # clock by this much.
+        if not 0 < stage_timeout_s < math.inf:
+            raise ValueError("stage_timeout_s must be positive and finite")
         self.power = power
         self.consoles = consoles or ConsoleMux()
         self.dram = SimulatedDram(dram_bytes)

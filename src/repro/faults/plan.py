@@ -204,8 +204,8 @@ class FaultRecoveryConfig:
             raise ValueError("resequence_backoff_s must be non-negative and finite")
         if self.max_stage_retries < 0:
             raise ValueError("max_stage_retries must be non-negative")
-        if self.stage_timeout_s <= 0:
-            raise ValueError("stage_timeout_s must be positive")
+        if not 0 < self.stage_timeout_s < math.inf:
+            raise ValueError("stage_timeout_s must be positive and finite")
 
 
 @dataclass(frozen=True)

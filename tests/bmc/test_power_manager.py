@@ -194,10 +194,10 @@ def test_print_current_all_format():
 
 def test_loadbook_validation():
     loads = LoadBook()
-    with pytest.raises(ValueError):
-        loads.set_demand("x", -1.0)
-    loads.add_demand("x", 2.0)
-    loads.add_demand("x", 3.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="demand"):
+            loads.set_demand("x", bad)
+    loads.set_demand("x", 5.0)
     assert loads.demand_w("x") == 5.0
     loads.clear()
     assert loads.demand_w("x") == 0.0

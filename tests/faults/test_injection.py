@@ -1,5 +1,7 @@
 """Per-subsystem fault injection and recovery behaviour."""
 
+import math
+
 import pytest
 
 from repro.bmc import PowerManager, RailFaultError
@@ -273,8 +275,9 @@ def test_boot_stage_failure_exhausts_retries():
 def test_boot_orchestrator_validation():
     with pytest.raises(ValueError):
         _orchestrator(max_stage_retries=-1)
-    with pytest.raises(ValueError):
-        _orchestrator(stage_timeout_s=0.0)
+    for timeout in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="stage_timeout_s"):
+            _orchestrator(stage_timeout_s=timeout)
 
 
 # -- telemetry ---------------------------------------------------------------

@@ -79,8 +79,9 @@ def test_recovery_validation():
     for backoff in (math.nan, math.inf):
         with pytest.raises(ValueError):
             FaultRecoveryConfig(resequence_backoff_s=backoff)
-    with pytest.raises(ValueError):
-        FaultRecoveryConfig(stage_timeout_s=0.0)
+    for timeout in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="stage_timeout_s"):
+            FaultRecoveryConfig(stage_timeout_s=timeout)
     # Defaults are fail-fast: recovery is opt-in.
     recovery = FaultRecoveryConfig()
     assert recovery.max_resequence_attempts == 0
