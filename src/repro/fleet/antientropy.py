@@ -62,8 +62,14 @@ __all__ = [
     "AntiEntropyError",
     "AntiEntropyScheduler",
     "MerkleTree",
+    "TREE_DEPTH",
     "replica_divergence",
 ]
+
+#: Depth of every per-pair hash tree: ``2**TREE_DEPTH`` leaf buckets.
+#: Deeper trees localize divergence with fewer key exchanges but cost
+#: more hash comparisons per pass.
+TREE_DEPTH = 4
 
 #: One replica's view of a key: (version, value-digest, is-tombstone).
 Entry = Tuple[Tuple[int, int], int, bool]
@@ -334,9 +340,8 @@ class AntiEntropyScheduler:
         # Every key in a's view is placed on a, and likewise for b.
         entries_a = {k: e for k, e in views[a].items() if b in placed[k]}
         entries_b = {k: e for k, e in views[b].items() if a in placed[k]}
-        depth = self.config.depth
-        tree_a = MerkleTree(depth, entries_a)
-        tree_b = MerkleTree(depth, entries_b)
+        tree_a = MerkleTree(TREE_DEPTH, entries_a)
+        tree_b = MerkleTree(TREE_DEPTH, entries_b)
         divergent, comparisons = tree_a.diff(tree_b)
         self.stats["pairs_compared"] += 1
         self.stats["hash_comparisons"] += comparisons

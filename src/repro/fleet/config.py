@@ -3,18 +3,21 @@
 A fleet is a *rack* of simulated Enzians: ``machines`` boards attached
 to one multi-port switch and serving a sharded key-value store with
 ``replication_factor`` copies of every key placed by a consistent-hash
-ring (``vnodes`` virtual nodes per machine).  The write and read
+ring (:data:`VNODES` virtual nodes per machine).  The write and read
 quorums are not knobs: they are derived majorities of the replication
 factor (:attr:`FleetConfig.write_quorum`, :attr:`FleetConfig.read_quorum`).
+The rack's wire and service timings are not knobs either: no preset,
+example or benchmark ever set them, so they are the module constants
+below, shared by the rack, its clients and single-board replay.
 
 The section acts only once a :class:`repro.fleet.rack.Rack` is built
 from it: building a rack is the decision to run one, and a run that
 builds none carries no rack machinery.  Determinism is part of the
 contract -- ``seed`` pins the rack's kernel RNG, and an identical
 ``(seed, FleetConfig)`` pair must reproduce bit-identical metrics.
-Every float knob must be finite, and each check is written so that NaN
-fails it too: a NaN service time or timeout would otherwise surface
-mid-run as a kernel scheduling error.
+The anti-entropy interval must be finite, and its check is written so
+that NaN fails it too: a NaN gap would otherwise surface mid-run as a
+kernel scheduling error.
 
 This module deliberately imports nothing from :mod:`repro.config` (the
 tree imports *us*).
@@ -24,6 +27,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+#: Virtual nodes per machine on the consistent-hash ring.
+VNODES = 64
+#: Per-port line rate into the rack switch (the FPGA-side 100 GbE).
+LINK_GBPS = 100.0
+#: One-way propagation per link (ns).
+LINK_PROPAGATION_NS = 500.0
+#: Store-and-forward latency of the rack switch (ns).
+SWITCH_FORWARDING_NS = 300.0
+#: Per-request service time on a shard server (hash + DRAM access, the
+#: FPGA KVS pipeline's initiation interval at depth).
+SERVICE_NS = 900.0
+#: Client-side request timeout before placement is re-resolved and the
+#: request retried (the failover detection latency).
+REQUEST_TIMEOUT_NS = 60_000.0
 
 
 @dataclass(frozen=True)
@@ -40,10 +58,6 @@ class AntiEntropyConfig:
 
     #: Gap between background passes (ns of simulated time).
     interval_ns: float = 1_000_000.0
-    #: Depth of the per-pair hash tree: ``2**depth`` leaf buckets.
-    #: Deeper trees localize divergence with fewer key exchanges but
-    #: cost more hash comparisons per pass.
-    depth: int = 4
 
     def __post_init__(self):
         # Written so that NaN fails too; an infinite gap would park the
@@ -52,13 +66,11 @@ class AntiEntropyConfig:
             raise ValueError(
                 f"interval_ns must be positive and finite, got {self.interval_ns}"
             )
-        if not 1 <= self.depth <= 16:
-            raise ValueError(f"depth must be in 1..16, got {self.depth}")
 
 
 @dataclass(frozen=True)
 class FleetConfig:
-    """Rack topology, placement, and service-model knobs."""
+    """Rack size, replication, retry and store-size knobs."""
 
     #: Boards in the rack.
     machines: int = 2
@@ -71,21 +83,6 @@ class FleetConfig:
     #: heals.  Inert while ``write_quorum == replication_factor`` (a
     #: full-set ack never has a missing target).
     hinted_handoff: bool = True
-    #: Virtual nodes per machine on the consistent-hash ring.  More
-    #: vnodes = smoother placement, slower ring construction.
-    vnodes: int = 64
-    #: Per-port line rate into the rack switch (the FPGA-side 100 GbE).
-    link_gbps: float = 100.0
-    #: One-way propagation per link (ns).
-    link_propagation_ns: float = 500.0
-    #: Store-and-forward latency of the rack switch (ns).
-    switch_forwarding_ns: float = 300.0
-    #: Per-request service time on a shard server (hash + DRAM access,
-    #: the FPGA KVS pipeline's initiation interval at depth).
-    service_ns: float = 900.0
-    #: Client-side request timeout before placement is re-resolved and
-    #: the request retried (the failover detection latency).
-    request_timeout_ns: float = 60_000.0
     #: Bounded retries per request after timeouts.
     max_retries: int = 4
     #: Slots in each machine's local hash-table shard.
@@ -106,31 +103,6 @@ class FleetConfig:
             raise ValueError(
                 f"replication_factor must be in 1..{self.machines} (machines), "
                 f"got {self.replication_factor}"
-            )
-        if self.vnodes < 1:
-            raise ValueError(f"vnodes must be >= 1, got {self.vnodes}")
-        if not 0 < self.link_gbps < math.inf:
-            raise ValueError(
-                f"link_gbps must be positive and finite, got {self.link_gbps}"
-            )
-        if not 0 <= self.link_propagation_ns < math.inf:
-            raise ValueError(
-                f"link_propagation_ns must be non-negative and finite, "
-                f"got {self.link_propagation_ns}"
-            )
-        if not 0 <= self.switch_forwarding_ns < math.inf:
-            raise ValueError(
-                f"switch_forwarding_ns must be non-negative and finite, "
-                f"got {self.switch_forwarding_ns}"
-            )
-        if not 0 < self.service_ns < math.inf:
-            raise ValueError(
-                f"service_ns must be positive and finite, got {self.service_ns}"
-            )
-        if not 0 < self.request_timeout_ns < math.inf:
-            raise ValueError(
-                f"request_timeout_ns must be positive and finite, "
-                f"got {self.request_timeout_ns}"
             )
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")

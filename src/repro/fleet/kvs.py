@@ -56,6 +56,7 @@ from typing import Dict, List, Optional, Tuple
 from ..apps.kvs import HashTableStore
 from ..net.ethernet import EthernetLink, Frame
 from ..sim import Awaitable, Kernel
+from .config import REQUEST_TIMEOUT_NS
 from .errors import FleetError
 
 #: Modeled wire overhead of a KVS request/response header (op, txid,
@@ -319,23 +320,6 @@ class KvsShardServer:
             for target, entries in state["hints"]
         }
 
-    def snap_migrate(self, state: dict, version: int) -> dict:
-        # v1 predates quorums: epoch 0, no versions, no hints.
-        if version == 1:
-            state = dict(state)
-            state.setdefault("epoch", 0)
-            state.setdefault("versions", [])
-            state.setdefault("hints", [])
-            state["stats"] = {
-                "aborted_in_flight": 0,
-                "replicated": 0,
-                "hints_queued": 0,
-                "repairs_applied": 0,
-                "stale_epoch_rejects": 0,
-                **state["stats"],
-            }
-        return state
-
     # -- request path --------------------------------------------------------
 
     def _on_frame(self, frame: Frame) -> None:
@@ -570,7 +554,7 @@ class FleetKvsClient:
         self.address = f"{address}#kvs"
         self._txid = 0
         self._waiters: Dict[int, _QuorumWait] = {}
-        self.timeout_ns = rack.fleet.request_timeout_ns
+        self.timeout_ns = REQUEST_TIMEOUT_NS
         self.max_retries = rack.fleet.max_retries
         #: Majority quorums, derived from the replication factor.
         self.write_quorum = rack.fleet.write_quorum
@@ -893,29 +877,6 @@ class FleetKvsClient:
         self.epoch = state["epoch"]
         self.acked = {bytes(k): bytes(v) for k, v in state["acked"]}
         self.stats.update(state["stats"])
-
-    def snap_migrate(self, state: dict, version: int) -> dict:
-        state = dict(state)
-        # v1 predates quorums: epoch 0, no quorum counters.
-        if version == 1:
-            state.setdefault("epoch", 0)
-            state["stats"] = {
-                "hints_sent": 0,
-                "read_repairs": 0,
-                "quorum_rejects": 0,
-                **state["stats"],
-            }
-        # v2 predates the rejections counter (answered-but-failed
-        # attempts were miscounted as timeouts).
-        if version <= 2:
-            state["stats"] = {"rejections": 0, **state["stats"]}
-        # v3 counted quorum-path refusals apart, under quorum_rejects.
-        if version <= 3:
-            stats = dict(state["stats"])
-            stats["rejections"] += stats.get("quorum_rejects", 0)
-            stats["quorum_rejects"] = 0
-            state["stats"] = stats
-        return state
 
     # -- plumbing ------------------------------------------------------------
 

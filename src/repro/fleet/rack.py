@@ -44,7 +44,14 @@ from ..health.state import HealthStateMachine
 from ..net.ethernet import EthernetLink
 from ..net.switch import star_topology
 from ..sim import Kernel
-from .config import FleetConfig
+from .config import (
+    LINK_GBPS,
+    LINK_PROPAGATION_NS,
+    SERVICE_NS,
+    SWITCH_FORWARDING_NS,
+    VNODES,
+    FleetConfig,
+)
 from .errors import FleetError
 from .kvs import NO_VERSION, FleetKvsClient, KvsShardServer
 from .placement import HashRing
@@ -102,9 +109,9 @@ class Rack:
         self.switch, links = star_topology(
             self.kernel,
             names,
-            rate_gbps=fleet.link_gbps,
-            propagation_ns=fleet.link_propagation_ns,
-            forwarding_ns=fleet.switch_forwarding_ns,
+            rate_gbps=LINK_GBPS,
+            propagation_ns=LINK_PROPAGATION_NS,
+            forwarding_ns=SWITCH_FORWARDING_NS,
             egress_queueing=True,
             obs=obs,
         )
@@ -112,7 +119,7 @@ class Rack:
         for name in names:
             store = HashTableStore(n_slots=fleet.kvs_slots)
             server = KvsShardServer(
-                self.kernel, name, links[name], store, fleet.service_ns, obs=obs
+                self.kernel, name, links[name], store, SERVICE_NS, obs=obs
             )
             health = HealthStateMachine(
                 f"fleet.{name}", obs=obs, clock=lambda: self.kernel.now
@@ -120,7 +127,7 @@ class Rack:
             self.machines[name] = RackMachine(
                 name, links[name], store, server, health
             )
-        self.ring = HashRing(names, fleet.vnodes, fleet.replication_factor)
+        self.ring = HashRing(names, VNODES, fleet.replication_factor)
         self.failovers: list[Tuple[float, str, str]] = []
         #: The rack's quorum epoch: bumped on every membership change
         #: and at each partition's start; servers are fenced to it.
@@ -143,8 +150,8 @@ class Rack:
         """Attach a KVS client on its own switch port."""
         link = EthernetLink(
             self.kernel,
-            rate_gbps=self.fleet.link_gbps,
-            propagation_ns=self.fleet.link_propagation_ns,
+            rate_gbps=LINK_GBPS,
+            propagation_ns=LINK_PROPAGATION_NS,
             name=f"link-{address}",
         )
         self.switch.connect(link, address)
@@ -461,9 +468,7 @@ class Rack:
 
     def restore_state(self, state: dict) -> None:
         self.ring = HashRing(
-            state["ring_machines"],
-            self.fleet.vnodes,
-            self.fleet.replication_factor,
+            state["ring_machines"], VNODES, self.fleet.replication_factor
         )
         self.failovers = [tuple(entry) for entry in state["failovers"]]
         self.ring_epoch = state["ring_epoch"]
@@ -478,15 +483,6 @@ class Rack:
                 "until_ns": partition["until_ns"],
             }
         self.partitions = [tuple(entry) for entry in state["partitions"]]
-
-    def snap_migrate(self, state: dict, version: int) -> dict:
-        # v1 predates partitions and quorum epochs.
-        if version == 1:
-            state = dict(state)
-            state.setdefault("ring_epoch", 0)
-            state.setdefault("active_partition", None)
-            state.setdefault("partitions", [])
-        return state
 
     # -- introspection -------------------------------------------------------
 

@@ -7,22 +7,15 @@ machines, silent-stall watchdogs, circuit breakers with half-open
 probing, lane-renegotiation and power-throttling policies, and a
 machine-level recovery orchestrator with a bounded escalation ladder.
 
-Everything is configured through the ``health`` section of
-:class:`repro.config.PlatformConfig` and armed by a
-:class:`HealthSupervisor`; with ``health.enabled = False`` (the
-default) nothing is constructed and the twin is bit-identical to a
-build without this package.
+The ``health`` section of :class:`repro.config.PlatformConfig`
+switches the layer on and seeds its backoff jitter; a
+:class:`HealthSupervisor` arms it.  With ``health.enabled = False``
+(the default) nothing is constructed and the twin is bit-identical to
+a build without this package.
 """
 
 from .breaker import BreakerState, CircuitBreaker, CircuitOpenError
-from .config import (
-    BreakerConfig,
-    EciHealthConfig,
-    HealthConfig,
-    PowerHealthConfig,
-    RecoveryLadderConfig,
-    WatchdogConfig,
-)
+from .config import HealthConfig
 from .orchestrator import RecoveryOrchestrator
 from .policy import EciDegradationPolicy, PowerDegradationPolicy
 from .state import (
@@ -36,12 +29,10 @@ from .supervisor import HealthSupervisor
 from .watchdog import Watchdog, WatchdogHandle
 
 __all__ = [
-    "BreakerConfig",
     "BreakerState",
     "CircuitBreaker",
     "CircuitOpenError",
     "EciDegradationPolicy",
-    "EciHealthConfig",
     "HealthConfig",
     "HealthError",
     "HealthState",
@@ -49,11 +40,8 @@ __all__ = [
     "HealthSupervisor",
     "LEGAL_TRANSITIONS",
     "PowerDegradationPolicy",
-    "PowerHealthConfig",
-    "RecoveryLadderConfig",
     "RecoveryOrchestrator",
     "STATE_SEVERITY",
     "Watchdog",
-    "WatchdogConfig",
     "WatchdogHandle",
 ]

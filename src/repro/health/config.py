@@ -1,127 +1,21 @@
 """The ``health`` section of the platform configuration tree.
 
 Like :class:`repro.faults.FaultsConfig`, the health layer is data
-first: one validated dataclass tree describing watchdog deadlines,
-circuit-breaker thresholds, degradation policies, and the recovery
-escalation ladder.  ``enabled`` defaults to False and the contract is
-the same as the fault plan's: a disabled health section arms *nothing*
--- every hook stays ``None`` and the twin's behaviour (timings, stats,
-golden traces, benchmark numbers) is bit-identical to a build without
-this package.
+first, but its only settings are the master switch and the seed of the
+backoff jitter: the watchdog deadlines, circuit-breaker thresholds,
+degradation policies and recovery ladder are module constants where
+they are read (:mod:`repro.health.supervisor`,
+:mod:`repro.health.policy`, :mod:`repro.health.orchestrator`).
+``enabled`` defaults to False and the contract is the same as the
+fault plan's: a disabled health section arms *nothing* -- every hook
+stays ``None`` and the twin's behaviour (timings, stats, golden
+traces, benchmark numbers) is bit-identical to a build without this
+package.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-
-@dataclass(frozen=True)
-class WatchdogConfig:
-    """Silent-stall detection deadlines."""
-
-    #: Kernel-time window within which a supervised sim activity (link
-    #: pump, traffic source) must show progress.
-    eci_deadline_ns: float = 25_000.0
-    #: Board-clock deadline for boot milestones (a §4.4 sequence that
-    #: stops emitting milestones for this long has wedged).
-    boot_deadline_s: float = 120.0
-    #: Board-clock deadline between telemetry sweeps.
-    telemetry_deadline_s: float = 10.0
-
-    def __post_init__(self):
-        if self.eci_deadline_ns <= 0:
-            raise ValueError("eci_deadline_ns must be positive")
-        if self.boot_deadline_s <= 0:
-            raise ValueError("boot_deadline_s must be positive")
-        if self.telemetry_deadline_s <= 0:
-            raise ValueError("telemetry_deadline_s must be positive")
-
-
-@dataclass(frozen=True)
-class BreakerConfig:
-    """Circuit-breaker policy for the net paths (TCP/RDMA/reliable)."""
-
-    #: Consecutive failures before the breaker opens.
-    failure_threshold: int = 3
-    #: Kernel time an open breaker waits before letting a probe through.
-    reset_ns: float = 10_000_000.0
-    #: Probes admitted in HALF_OPEN before the verdict (first failure
-    #: re-opens; ``half_open_probes`` successes close).
-    half_open_probes: int = 1
-
-    def __post_init__(self):
-        if self.failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        if self.reset_ns <= 0:
-            raise ValueError("reset_ns must be positive")
-        if self.half_open_probes < 1:
-            raise ValueError("half_open_probes must be >= 1")
-
-
-@dataclass(frozen=True)
-class EciHealthConfig:
-    """Graceful lane renegotiation under CRC storms (§4.4)."""
-
-    #: CRC errors within ``crc_window_ns`` that trigger renegotiation.
-    crc_storm_threshold: int = 8
-    crc_window_ns: float = 10_000.0
-    #: Lane floor: renegotiation halves lane count down to this width
-    #: (4 is the paper's bring-up mode).
-    min_lanes: int = 4
-    #: Residual error-rate multiplier after retraining at reduced width
-    #: (dropping the marginal lanes removes most of the error source).
-    relief_factor: float = 0.1
-    #: Renegotiations allowed per link before the link is declared FAILED.
-    max_renegotiations: int = 3
-
-    def __post_init__(self):
-        if self.crc_storm_threshold < 1:
-            raise ValueError("crc_storm_threshold must be >= 1")
-        if self.crc_window_ns <= 0:
-            raise ValueError("crc_window_ns must be positive")
-        if self.min_lanes < 1:
-            raise ValueError("min_lanes must be >= 1")
-        if not 0.0 <= self.relief_factor <= 1.0:
-            raise ValueError("relief_factor must be in [0, 1]")
-        if self.max_renegotiations < 1:
-            raise ValueError("max_renegotiations must be >= 1")
-
-
-@dataclass(frozen=True)
-class PowerHealthConfig:
-    """Brown-out / over-temperature throttling instead of shutdown."""
-
-    #: Load-book multiplier applied in throttled degraded mode.
-    throttle_fraction: float = 0.5
-    #: Throttle events absorbed before a rail fault is fatal after all.
-    max_throttle_events: int = 4
-
-    def __post_init__(self):
-        if not 0.0 < self.throttle_fraction <= 1.0:
-            raise ValueError("throttle_fraction must be in (0, 1]")
-        if self.max_throttle_events < 1:
-            raise ValueError("max_throttle_events must be >= 1")
-
-
-@dataclass(frozen=True)
-class RecoveryLadderConfig:
-    """Machine-level escalation: retry -> re-init -> BMC re-sequence."""
-
-    #: Attempts per escalation level before moving up the ladder.
-    attempts_per_level: int = 2
-    #: Board-clock backoff base between attempts (doubles per attempt).
-    backoff_s: float = 0.5
-    #: Uniform jitter fraction on each backoff, drawn deterministically
-    #: from the supervisor's seeded RNG (0 = no draw at all).
-    jitter: float = 0.25
-
-    def __post_init__(self):
-        if self.attempts_per_level < 1:
-            raise ValueError("attempts_per_level must be >= 1")
-        if self.backoff_s < 0:
-            raise ValueError("backoff_s must be non-negative")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError("jitter must be in [0, 1)")
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -132,8 +26,3 @@ class HealthConfig:
     enabled: bool = False
     #: Seed for the supervisor's deterministic backoff-jitter RNG.
     seed: int = 0x4EA17
-    watchdog: WatchdogConfig = field(default_factory=WatchdogConfig)
-    breaker: BreakerConfig = field(default_factory=BreakerConfig)
-    eci: EciHealthConfig = field(default_factory=EciHealthConfig)
-    power: PowerHealthConfig = field(default_factory=PowerHealthConfig)
-    recovery: RecoveryLadderConfig = field(default_factory=RecoveryLadderConfig)

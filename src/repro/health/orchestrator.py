@@ -11,10 +11,11 @@ the BMC's supervisor daemon -- would:
 3. **BMC re-sequence** -- the big hammer: rebuild the boot orchestrator
    (the BMC rebooting itself) and re-run the full §4.4 sequence.
 
-Each level gets a bounded number of attempts with exponential backoff;
-the backoff jitter is drawn from a seeded RNG handed in by the
-supervisor, so two runs with the same seed take byte-identical recovery
-timelines.  Every attempt and every escalation is counted through
+Each level gets :data:`ATTEMPTS_PER_LEVEL` attempts with exponential
+backoff from :data:`BACKOFF_S`; every backoff is stretched by a uniform
+jitter of up to :data:`JITTER` drawn from a seeded RNG handed in by
+the supervisor, so two runs with the same seed take byte-identical
+recovery timelines.  Every attempt and every escalation is counted through
 ``repro.obs`` (``recovery_attempts_total{level}``,
 ``recovery_escalations_total``), which is how a soak report proves the
 ladder actually climbed.
@@ -25,8 +26,14 @@ from __future__ import annotations
 import random
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .config import RecoveryLadderConfig
 from .state import HealthStateMachine
+
+#: Attempts per escalation level before moving up the ladder.
+ATTEMPTS_PER_LEVEL = 2
+#: Board-clock backoff base between attempts (doubles per attempt).
+BACKOFF_S = 0.5
+#: Uniform jitter fraction on each backoff.
+JITTER = 0.25
 
 #: A ladder: ordered (level-name, action) pairs.  An action returns
 #: True on success; a False return or any exception counts as a failed
@@ -39,7 +46,6 @@ class RecoveryOrchestrator:
 
     def __init__(
         self,
-        config: RecoveryLadderConfig,
         clock,
         rng: Optional[random.Random] = None,
         health: Optional[HealthStateMachine] = None,
@@ -47,7 +53,6 @@ class RecoveryOrchestrator:
     ):
         from ..obs import NULL_REGISTRY
 
-        self.config = config
         self.clock = clock
         self.rng = rng if rng is not None else random.Random(0)
         self.health = health
@@ -57,17 +62,15 @@ class RecoveryOrchestrator:
         self.last_error: Optional[BaseException] = None
 
     def _backoff(self, attempt: int) -> float:
-        delay = self.config.backoff_s * (2 ** (attempt - 1))
-        if self.config.jitter:
-            delay *= 1.0 + self.config.jitter * self.rng.random()
-        return delay
+        delay = BACKOFF_S * (2 ** (attempt - 1))
+        return delay * (1.0 + JITTER * self.rng.random())
 
     def run(self, ladder: Ladder) -> bool:
         """Climb the ladder; True as soon as any attempt succeeds."""
         if self.health is not None:
             self.health.recovering("escalation ladder engaged")
         for index, (level, action) in enumerate(ladder):
-            for attempt in range(1, self.config.attempts_per_level + 1):
+            for attempt in range(1, ATTEMPTS_PER_LEVEL + 1):
                 self.steps.append(f"{level}:{attempt}")
                 if self.obs:
                     self.obs.counter(

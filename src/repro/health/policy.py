@@ -4,13 +4,13 @@ Two concrete policies, both modelled on what the real board does:
 
 * :class:`EciDegradationPolicy` -- the §4.4 story ("early debugging of
   ECI was done with 4 lanes rather than the full 24") made automatic: a
-  link that accumulates CRC errors faster than the policy's window
-  allows is *renegotiated* to half its lane count (down to a floor),
-  retraining and then carrying traffic at the reduced -- but correct --
-  bandwidth.  Dropping the marginal lanes removes most of the error
-  source, so the residual stochastic error rate is scaled by a relief
-  factor.  A link that keeps storming after the renegotiation budget is
-  spent is declared FAILED.
+  link that accumulates :data:`CRC_STORM_THRESHOLD` CRC errors within
+  :data:`CRC_WINDOW_NS` is *renegotiated* to half its lane count (down
+  to :data:`MIN_LANES`), retraining and then carrying traffic at the
+  reduced -- but correct -- bandwidth.  Dropping the marginal lanes
+  removes most of the error source, so the residual stochastic error
+  rate is scaled by a relief factor.  A link that keeps storming after
+  the renegotiation budget is spent is declared FAILED.
 
 * :class:`PowerDegradationPolicy` -- PMBus brown-out (VIN_UV) and
   over-temperature (OTP) events drive the power manager into a
@@ -27,13 +27,30 @@ from collections import deque
 from typing import Deque, List, Tuple
 
 from ..bmc.pmbus import StatusBit
-from .config import EciHealthConfig, PowerHealthConfig
 from .state import HealthStateMachine
 
 #: Status bits the power policy may absorb into throttled operation.
 THROTTLE_STATUS_BITS = int(StatusBit.VIN_UV) | int(StatusBit.TEMPERATURE)
 #: Status bits that stay fatal no matter what (electrical damage risk).
 FATAL_STATUS_BITS = int(StatusBit.IOUT_OC) | int(StatusBit.VOUT_OV)
+
+#: CRC errors within ``CRC_WINDOW_NS`` (kernel ns) that trigger a lane
+#: renegotiation.
+CRC_STORM_THRESHOLD = 8
+CRC_WINDOW_NS = 10_000.0
+#: Lane floor: renegotiation halves the lane count down to this width
+#: (4 is the paper's bring-up mode).
+MIN_LANES = 4
+#: Residual error-rate multiplier after retraining at reduced width
+#: (dropping the marginal lanes removes most of the error source).
+RELIEF_FACTOR = 0.1
+#: Renegotiations allowed per link before the link is declared FAILED.
+MAX_RENEGOTIATIONS = 3
+
+#: Load-book multiplier applied in throttled degraded mode.
+THROTTLE_FRACTION = 0.5
+#: Throttle events absorbed before a rail fault is fatal after all.
+MAX_THROTTLE_EVENTS = 4
 
 
 class EciDegradationPolicy:
@@ -43,7 +60,6 @@ class EciDegradationPolicy:
         self,
         transport,
         kernel,
-        params: EciHealthConfig,
         health: HealthStateMachine,
         obs=None,
     ):
@@ -51,7 +67,6 @@ class EciDegradationPolicy:
 
         self.transport = transport
         self.kernel = kernel
-        self.params = params
         self.health = health
         self.obs = obs if obs is not None else NULL_REGISTRY
         links = transport.params.links
@@ -66,27 +81,27 @@ class EciDegradationPolicy:
         now = self.kernel.now
         window = self._windows[link]
         window.append(now)
-        cutoff = now - self.params.crc_window_ns
+        cutoff = now - CRC_WINDOW_NS
         while window and window[0] < cutoff:
             window.popleft()
-        if len(window) >= self.params.crc_storm_threshold:
+        if len(window) >= CRC_STORM_THRESHOLD:
             self._renegotiate(link, now)
 
     def _renegotiate(self, link: int, now: float) -> None:
         self._windows[link].clear()
-        if self.renegotiations[link] >= self.params.max_renegotiations:
+        if self.renegotiations[link] >= MAX_RENEGOTIATIONS:
             self.health.fail(
                 f"link{link}: CRC storm persists at "
                 f"{self.transport.lanes[link]} lanes"
             )
             return
         self.renegotiations[link] += 1
-        lanes = max(self.params.min_lanes, self.transport.lanes[link] // 2)
+        lanes = max(MIN_LANES, self.transport.lanes[link] // 2)
         # drop_lanes retrains the link and scales its serialization
         # rate, so the bandwidth model tracks the degraded width.
         self.transport.drop_lanes(link, lanes)
         # The marginal lanes carried most of the error source.
-        self.transport.fault_rate *= self.params.relief_factor
+        self.transport.fault_rate *= RELIEF_FACTOR
         self.events.append((now, link, lanes))
         self.health.degrade(f"link{link}: renegotiated to {lanes} lanes")
         if self.obs:
@@ -102,14 +117,12 @@ class PowerDegradationPolicy:
     def __init__(
         self,
         power,
-        params: PowerHealthConfig,
         health: HealthStateMachine,
         obs=None,
     ):
         from ..obs import NULL_REGISTRY
 
         self.power = power
-        self.params = params
         self.health = health
         self.obs = obs if obs is not None else NULL_REGISTRY
         self.throttle_events = 0
@@ -133,14 +146,14 @@ class PowerDegradationPolicy:
 
         if not self._absorbable(status):
             return False
-        if self.throttle_events >= self.params.max_throttle_events:
+        if self.throttle_events >= MAX_THROTTLE_EVENTS:
             self.health.fail(f"rail {rail}: throttle budget exhausted")
             return False
         self.throttle_events += 1
         now = self.power.clock.now_s
         self.events.append((now, rail, decode_status(status)))
         self.power.enter_throttle(
-            self.params.throttle_fraction, reason=f"{rail}:{decode_status(status)}"
+            THROTTLE_FRACTION, reason=f"{rail}:{decode_status(status)}"
         )
         self.power.recover_rail(rail)
         self.health.degrade(f"rail {rail}: throttled ({decode_status(status)})")

@@ -27,6 +27,23 @@ from .policy import EciDegradationPolicy, PowerDegradationPolicy
 from .state import HealthStateMachine
 from .watchdog import Watchdog, WatchdogHandle
 
+#: Kernel-time window within which a supervised sim activity (link
+#: pump, traffic source) must show progress.
+ECI_DEADLINE_NS = 25_000.0
+#: Board-clock deadline for boot milestones (a §4.4 sequence that stops
+#: emitting milestones for this long has wedged).
+BOOT_DEADLINE_S = 120.0
+#: Board-clock deadline between telemetry sweeps.
+TELEMETRY_DEADLINE_S = 10.0
+
+#: Net-path (TCP/RDMA/reliable) circuit breakers: consecutive failures
+#: before a breaker opens, kernel time an open breaker waits before
+#: letting a probe through, and probes admitted in HALF_OPEN before the
+#: verdict (the first failure re-opens; that many successes close).
+BREAKER_FAILURES = 3
+BREAKER_RESET_NS = 10_000_000.0
+BREAKER_PROBES = 1
+
 
 class HealthSupervisor:
     """Owns and arms the platform's health machinery."""
@@ -63,9 +80,7 @@ class HealthSupervisor:
     def arm_power(self, power) -> PowerDegradationPolicy:
         """Brown-out/OTP throttling on the BMC power manager."""
         health = self.health_of("power", clock=lambda: power.clock.now_s)
-        self.power_policy = PowerDegradationPolicy(
-            power, self.config.power, health, obs=self.obs
-        )
+        self.power_policy = PowerDegradationPolicy(power, health, obs=self.obs)
         return self.power_policy
 
     def arm_boot(self, boot) -> HealthStateMachine:
@@ -81,16 +96,14 @@ class HealthSupervisor:
             # so a later check_board cannot stall a dead monitor.
             self._boot_heartbeat.complete()
         boot.heartbeat = self._boot_heartbeat = self.watchdog.watch_board(
-            "boot", self.config.watchdog.boot_deadline_s
+            "boot", BOOT_DEADLINE_S
         )
         boot.heartbeat.beat(boot.clock.now_s)
         return health
 
     def arm_telemetry(self, telemetry) -> WatchdogHandle:
         """Sweep heartbeat + after-sequencing brown-out observation."""
-        handle = self.watchdog.watch_board(
-            "telemetry", self.config.watchdog.telemetry_deadline_s
-        )
+        handle = self.watchdog.watch_board("telemetry", TELEMETRY_DEADLINE_S)
         policy = self.power_policy
         clock = telemetry.manager.clock
 
@@ -106,7 +119,7 @@ class HealthSupervisor:
         """CRC-storm lane renegotiation on an ECI link transport."""
         health = self.health_of("eci.link", clock=lambda: kernel.now)
         self.eci_policy = EciDegradationPolicy(
-            transport, kernel, self.config.eci, health, obs=self.obs
+            transport, kernel, health, obs=self.obs
         )
         return self.eci_policy
 
@@ -121,7 +134,7 @@ class HealthSupervisor:
         return self.watchdog.watch_kernel(
             kernel,
             name,
-            self.config.watchdog.eci_deadline_ns,
+            ECI_DEADLINE_NS,
             probe,
             health=self.health_of(subsystem),
         )
@@ -130,13 +143,12 @@ class HealthSupervisor:
         """Get-or-create the circuit breaker guarding a net path."""
         breaker = self.breakers.get(name)
         if breaker is None:
-            cfg = self.config.breaker
             breaker = CircuitBreaker(
                 name,
                 clock,
-                failure_threshold=cfg.failure_threshold,
-                reset_ns=cfg.reset_ns,
-                half_open_probes=cfg.half_open_probes,
+                failure_threshold=BREAKER_FAILURES,
+                reset_ns=BREAKER_RESET_NS,
+                half_open_probes=BREAKER_PROBES,
                 obs=self.obs,
             )
             self.breakers[name] = breaker
@@ -151,7 +163,8 @@ class HealthSupervisor:
         latched rail fault, power fully down, and bring the machine
         back up; (3) rebuild the boot orchestrator (BMC re-sequence)
         and run the §4.4 sequence from scratch.  Bounded attempts and
-        deterministic jittered backoff come from the config.
+        deterministic jittered backoff come from
+        :class:`RecoveryOrchestrator`, seeded by the config.
         """
         health = self.health_of(
             "machine", clock=lambda: machine.power.clock.now_s
@@ -160,7 +173,6 @@ class HealthSupervisor:
             return True
         health.fail("machine did not reach RUNNING")
         self.orchestrator = RecoveryOrchestrator(
-            self.config.recovery,
             machine.power.clock,
             rng=self.rng,
             health=health,

@@ -251,14 +251,6 @@ class Switch:
                 until_ns=partition["until_ns"],
             )
 
-    def snap_migrate(self, state: dict, version: int) -> dict:
-        # v1 predates partitions: no partition was active.
-        if version == 1:
-            state = dict(state)
-            state.setdefault("partition", None)
-            state["stats"] = {"dropped_partitioned": 0, **state["stats"]}
-        return state
-
 
 def two_hosts_via_switch(
     kernel: Kernel,

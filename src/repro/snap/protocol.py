@@ -42,7 +42,7 @@ from typing import Any, Dict
 #: Version of the checkpoint *container* format, including the encoded
 #: FleetConfig it carries (component payloads carry their own per-class
 #: versions).
-SNAP_SCHEMA = 3
+SNAP_SCHEMA = 4
 
 
 class SnapshotError(RuntimeError):

@@ -27,6 +27,7 @@ import json
 from typing import Any, Callable, Dict, List, Optional
 
 from ..apps.kvs import HashTableStore
+from ..fleet.config import LINK_GBPS, LINK_PROPAGATION_NS, SERVICE_NS
 from ..fleet.kvs import KvsRequest, KvsResponse, KvsShardServer
 from ..net.ethernet import EthernetLink, Frame
 from ..net.reliable import Segment
@@ -254,13 +255,13 @@ def replay_board(
     kernel = kernel if kernel is not None else Kernel(seed=fleet.seed)
     link = EthernetLink(
         kernel,
-        rate_gbps=fleet.link_gbps,
-        propagation_ns=fleet.link_propagation_ns,
+        rate_gbps=LINK_GBPS,
+        propagation_ns=LINK_PROPAGATION_NS,
         name=f"link-{name}",
     )
     link.set_uplink(lambda frame: None)  # black hole: no switch, no peers
     store = HashTableStore(n_slots=fleet.kvs_slots)
-    server = KvsShardServer(kernel, name, link, store, fleet.service_ns, obs=obs)
+    server = KvsShardServer(kernel, name, link, store, SERVICE_NS, obs=obs)
 
     outbound: List[Dict[str, Any]] = []
     original_send = link.send

@@ -75,7 +75,8 @@ class GatewayConfig:
     ``batch_max`` (a short ``batch_window_ns`` wait lets a batch fill
     under load; ``batch_overhead_ns`` is the per-batch dispatch cost
     the batching amortizes).  A small LRU cache tier in front of the
-    backends serves repeat reads at ``cache_hit_ns``.
+    backends serves repeat reads at
+    :data:`repro.traffic.gateway.CACHE_HIT_NS`.
     """
 
     #: Enforce the token bucket + shedding.  False = admit everything
@@ -97,8 +98,6 @@ class GatewayConfig:
     batch_overhead_ns: float = 600.0
     #: LRU cache entries (0 disables the cache tier).
     cache_slots: int = 4096
-    #: Service time of a cache hit (ns).
-    cache_hit_ns: float = 1_500.0
     #: Gateway-level retry budget: tokens accrued per admitted request
     #: (Finagle-style).  A backend failure may be retried only while
     #: the budget holds a whole token, so retries are bounded to this
@@ -143,10 +142,6 @@ class GatewayConfig:
             )
         if self.cache_slots < 0:
             raise ValueError(f"cache_slots must be >= 0, got {self.cache_slots}")
-        if not 0 < self.cache_hit_ns < math.inf:
-            raise ValueError(
-                f"cache_hit_ns must be positive and finite, got {self.cache_hit_ns}"
-            )
         if not 0 <= self.retry_budget <= 1:
             raise ValueError(
                 f"retry_budget must be in [0, 1], got {self.retry_budget}"

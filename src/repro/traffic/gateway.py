@@ -72,6 +72,9 @@ LATENCY_METRIC = "traffic_request_latency_ns"
 #: must not bank an unbounded retry storm).
 RETRY_TOKEN_CAP = 256.0
 
+#: Service time of a cache hit (ns).
+CACHE_HIT_NS = 1_500.0
+
 
 class TokenBucket:
     """Sustained-rate admission with burst headroom (lazily refilled)."""
@@ -240,7 +243,7 @@ class Gateway:
             if self.cache.lookup(request.key) is not None:
                 stats["cache_hits"] += 1
                 request.outcome = "cache_hit"
-                kernel.call_after(config.cache_hit_ns, self._complete, request)
+                kernel.call_after(CACHE_HIT_NS, self._complete, request)
                 return True
         queue = self._queue
         if config.admission:
@@ -520,13 +523,3 @@ class Gateway:
                     "(was breaker_enabled on when the snapshot was taken?)"
                 )
             restore(breaker, tagged_state)
-
-    def snap_migrate(self, state: dict, version: int) -> dict:
-        # v1 counted deadline sheds; each one is also in rejected_shed,
-        # so dropping the counter keeps the conservation law whole.
-        if version == 1:
-            state = dict(state)
-            state["stats"] = {
-                k: v for k, v in state["stats"].items() if k != "shed_deadline"
-            }
-        return state

@@ -95,6 +95,22 @@ def test_unknown_nested_key_names_dotted_path():
             "fleet.anti_entropy.enabled",
         ),
         ({"snap": {"record_taps": True}}, "snap"),
+        ({"fleet": {"vnodes": 64}}, "fleet.vnodes"),
+        ({"fleet": {"link_gbps": 100.0}}, "fleet.link_gbps"),
+        ({"fleet": {"link_propagation_ns": 500.0}}, "fleet.link_propagation_ns"),
+        ({"fleet": {"switch_forwarding_ns": 300.0}}, "fleet.switch_forwarding_ns"),
+        ({"fleet": {"service_ns": 900.0}}, "fleet.service_ns"),
+        ({"fleet": {"request_timeout_ns": 60_000.0}}, "fleet.request_timeout_ns"),
+        ({"fleet": {"anti_entropy": {"depth": 4}}}, "fleet.anti_entropy.depth"),
+        (
+            {"traffic": {"gateway": {"cache_hit_ns": 1_500.0}}},
+            "traffic.gateway.cache_hit_ns",
+        ),
+        ({"health": {"watchdog": {"eci_deadline_ns": 25_000.0}}}, "health.watchdog"),
+        ({"health": {"breaker": {"failure_threshold": 3}}}, "health.breaker"),
+        ({"health": {"eci": {"crc_storm_threshold": 8}}}, "health.eci"),
+        ({"health": {"power": {"throttle_fraction": 0.5}}}, "health.power"),
+        ({"health": {"recovery": {"jitter": 0.25}}}, "health.recovery"),
     ],
 )
 def test_removed_traffic_keys_name_dotted_path(data, path):

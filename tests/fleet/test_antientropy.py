@@ -95,10 +95,6 @@ def test_anti_entropy_config_validation():
         AntiEntropyConfig(interval_ns=math.inf)
     with pytest.raises(ValueError, match="interval_ns"):
         AntiEntropyConfig(interval_ns=math.nan)
-    with pytest.raises(ValueError, match="depth"):
-        AntiEntropyConfig(depth=0)
-    with pytest.raises(ValueError, match="depth"):
-        AntiEntropyConfig(depth=17)
 
 
 # -- Merkle trees ------------------------------------------------------------

@@ -20,8 +20,8 @@ import zlib
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.fleet import AntiEntropyConfig, AntiEntropyScheduler, FleetConfig, Rack
-from repro.fleet.antientropy import MerkleTree
+from repro.fleet import AntiEntropyScheduler, FleetConfig, Rack
+from repro.fleet.antientropy import TREE_DEPTH, MerkleTree
 from repro.fleet.kvs import NO_VERSION
 from repro.obs import MetricsRegistry
 from repro.obs.export import snapshot_jsonl
@@ -100,9 +100,8 @@ class ReferenceScheduler(AntiEntropyScheduler):
             return 0
         entries_a = _shared_entries(rack, a, b)
         entries_b = _shared_entries(rack, b, a)
-        depth = self.config.depth
-        tree_a = MerkleTree(depth, entries_a)
-        tree_b = MerkleTree(depth, entries_b)
+        tree_a = MerkleTree(TREE_DEPTH, entries_a)
+        tree_b = MerkleTree(TREE_DEPTH, entries_b)
         divergent, comparisons = tree_a.diff(tree_b)
         self.stats["pairs_compared"] += 1
         self.stats["hash_comparisons"] += comparisons
@@ -200,7 +199,6 @@ def _build(scheduler_cls, key_plans, raw_plans, lag):
         replication_factor=3,
         hinted_handoff=False,
         kvs_slots=64,
-        anti_entropy=AntiEntropyConfig(depth=3),
     )
     rack = Rack(fleet, obs=obs)
     for key, (seq, copies, stray) in zip(KEYS, key_plans):

@@ -5,25 +5,14 @@ import random
 import pytest
 
 from repro.bmc.regulators import BoardClock
-from repro.health import (
-    HealthState,
-    HealthStateMachine,
-    RecoveryLadderConfig,
-    RecoveryOrchestrator,
-)
+from repro.health import HealthState, HealthStateMachine, RecoveryOrchestrator
+from repro.health.orchestrator import ATTEMPTS_PER_LEVEL, BACKOFF_S, JITTER
 from repro.obs import MetricsRegistry
 
 
-def _config(**overrides):
-    base = dict(attempts_per_level=2, backoff_s=0.5, jitter=0.25)
-    base.update(overrides)
-    return RecoveryLadderConfig(**base)
-
-
-def _orchestrator(config=None, obs=None, health=None, seed=17):
+def _orchestrator(obs=None, health=None, seed=17):
     clock = BoardClock()
     orchestrator = RecoveryOrchestrator(
-        config or _config(),
         clock,
         rng=random.Random(seed),
         health=health,
@@ -111,9 +100,15 @@ def test_backoff_timeline_is_deterministic_per_seed():
 
 
 def test_backoff_without_jitter_is_pure_exponential():
-    orchestrator, clock = _orchestrator(
-        config=_config(attempts_per_level=3, backoff_s=1.0, jitter=0.0)
-    )
+    """Divided by its jitter factor (one seeded draw per attempt), each
+    backoff is BACKOFF_S doubled per attempt."""
+    orchestrator, clock = _orchestrator(seed=17)
     orchestrator.run([("a", lambda: False)])
-    # 1s + 2s + 4s of exponential backoff, no jitter.
-    assert clock.now_s == pytest.approx(7.0)
+    rng = random.Random(17)
+    expected = sum(
+        BACKOFF_S * 2 ** (attempt - 1) * (1.0 + JITTER * rng.random())
+        for attempt in range(1, ATTEMPTS_PER_LEVEL + 1)
+    )
+    # 0.5 s and 1 s of exponential backoff, each stretched by its draw.
+    assert clock.now_s == pytest.approx(expected)
+    assert BACKOFF_S * 3 < clock.now_s < BACKOFF_S * 3 * (1.0 + JITTER)

@@ -7,11 +7,18 @@ from repro.bmc.pmbus import StatusBit
 from repro.eci.link import EciLinkParams, EciLinkTransport
 from repro.health import (
     EciDegradationPolicy,
-    EciHealthConfig,
     HealthState,
     HealthStateMachine,
     PowerDegradationPolicy,
-    PowerHealthConfig,
+)
+from repro.health.policy import (
+    CRC_STORM_THRESHOLD,
+    CRC_WINDOW_NS,
+    MAX_RENEGOTIATIONS,
+    MAX_THROTTLE_EVENTS,
+    MIN_LANES,
+    RELIEF_FACTOR,
+    THROTTLE_FRACTION,
 )
 from repro.obs import MetricsRegistry
 from repro.sim import Kernel
@@ -20,20 +27,23 @@ from repro.sim import Kernel
 # -- ECI: CRC storms renegotiate to reduced lanes ----------------------------
 
 
-def _eci_policy(kernel, obs=None, **overrides):
+def _eci_policy(kernel, obs=None):
     transport = EciLinkTransport(kernel, params=EciLinkParams())
     transport.fault_rate = 1e-3
-    params = EciHealthConfig(
-        crc_storm_threshold=4,
-        crc_window_ns=1_000.0,
-        min_lanes=4,
-        relief_factor=0.1,
-        max_renegotiations=3,
-        **overrides,
-    )
     health = HealthStateMachine("eci.link", obs=obs, clock=lambda: kernel.now)
-    policy = EciDegradationPolicy(transport, kernel, params, health, obs=obs)
+    policy = EciDegradationPolicy(transport, kernel, health, obs=obs)
     return transport, policy, health
+
+
+def _storms(kernel, policy, count):
+    """``count`` storms on link 0, each ``CRC_STORM_THRESHOLD`` errors
+    1 ns apart, separated by gaps long enough to clear the window."""
+    t = 0.0
+    for _ in range(count):
+        for _ in range(CRC_STORM_THRESHOLD):
+            kernel.call_at(t, lambda _: policy.on_crc_error(0))
+            t += 1.0
+        t += 2 * CRC_WINDOW_NS
 
 
 def test_crc_storm_renegotiates_lanes_and_scales_bandwidth():
@@ -41,7 +51,7 @@ def test_crc_storm_renegotiates_lanes_and_scales_bandwidth():
     obs = MetricsRegistry()
     transport, policy, health = _eci_policy(kernel, obs=obs)
     full_rate = transport.link_rates_bytes_per_ns()[0]
-    for i in range(4):
+    for i in range(CRC_STORM_THRESHOLD):
         kernel.call_at(10.0 * i, lambda _, link=0: policy.on_crc_error(link))
     kernel.run()
     assert transport.lanes[0] == 6               # 12 // 2
@@ -51,9 +61,9 @@ def test_crc_storm_renegotiates_lanes_and_scales_bandwidth():
         full_rate / 2
     )
     # Dropping the marginal lanes removed most of the error source.
-    assert transport.fault_rate == pytest.approx(1e-4)
+    assert transport.fault_rate == pytest.approx(1e-3 * RELIEF_FACTOR)
     assert health.state is HealthState.DEGRADED
-    assert policy.events == [(30.0, 0, 6)]
+    assert policy.events == [(10.0 * (CRC_STORM_THRESHOLD - 1), 0, 6)]
     assert (
         obs.counter(
             "health_lane_renegotiations_total", {"link": "0"}
@@ -66,9 +76,9 @@ def test_crc_storm_renegotiates_lanes_and_scales_bandwidth():
 def test_sparse_errors_never_fill_the_window():
     kernel = Kernel(seed=3)
     transport, policy, health = _eci_policy(kernel)
-    # Four errors, but each 2us apart against a 1us window.
-    for i in range(4):
-        kernel.call_at(2_000.0 * i, lambda _: policy.on_crc_error(0))
+    # A storm's worth of errors, but each two windows apart.
+    for i in range(CRC_STORM_THRESHOLD):
+        kernel.call_at(2 * CRC_WINDOW_NS * i, lambda _: policy.on_crc_error(0))
     kernel.run()
     assert transport.lanes[0] == 12
     assert health.healthy
@@ -77,44 +87,33 @@ def test_sparse_errors_never_fill_the_window():
 def test_renegotiation_floors_at_min_lanes():
     kernel = Kernel(seed=3)
     transport, policy, health = _eci_policy(kernel)
-    t = 0.0
-    for _ in range(3):                           # three full storms
-        for _ in range(4):
-            kernel.call_at(t, lambda _: policy.on_crc_error(0))
-            t += 1.0
-        t += 2_000.0                             # let the window clear
+    _storms(kernel, policy, MAX_RENEGOTIATIONS)
     kernel.run()
+    assert MIN_LANES == 4                        # §4.4's bring-up width
     assert [lanes for _, _, lanes in policy.events] == [6, 4, 4]
-    assert transport.lanes[0] == 4
+    assert transport.lanes[0] == MIN_LANES
     assert health.state is HealthState.DEGRADED
 
 
 def test_persistent_storm_exhausts_budget_and_fails():
     kernel = Kernel(seed=3)
     transport, policy, health = _eci_policy(kernel)
-    t = 0.0
-    for _ in range(4):                           # one storm past the budget
-        for _ in range(4):
-            kernel.call_at(t, lambda _: policy.on_crc_error(0))
-            t += 1.0
-        t += 2_000.0
+    _storms(kernel, policy, MAX_RENEGOTIATIONS + 1)  # one past the budget
     kernel.run()
     assert health.state is HealthState.FAILED
-    assert transport.lanes[0] == 4               # no further renegotiation
+    assert len(policy.events) == MAX_RENEGOTIATIONS
+    assert transport.lanes[0] == MIN_LANES       # no further renegotiation
 
 
 # -- Power: brown-out / OTP throttle instead of shutdown ---------------------
 
 
-def _power_policy(obs=None, **overrides):
+def _power_policy(obs=None):
     manager = PowerManager(obs=obs)
-    params = PowerHealthConfig(
-        throttle_fraction=0.5, max_throttle_events=2, **overrides
-    )
     health = HealthStateMachine(
         "power", obs=obs, clock=lambda: manager.clock.now_s
     )
-    policy = PowerDegradationPolicy(manager, params, health, obs=obs)
+    policy = PowerDegradationPolicy(manager, health, obs=obs)
     return manager, policy, health
 
 
@@ -133,7 +132,7 @@ def test_brownout_during_bring_up_is_absorbed_into_throttle():
     manager.cpu_power_up()                       # absorbed, not raised
     assert manager.regulators["VDD_CORE"].live
     assert manager.throttled
-    assert manager.loads.throttle == 0.5
+    assert manager.loads.throttle == THROTTLE_FRACTION
     assert health.state is HealthState.DEGRADED
     assert policy.throttle_events == 1
     assert (
@@ -177,11 +176,12 @@ def test_throttle_budget_exhaustion_fails_the_subsystem():
     manager.fault_hook = lambda event, rail: manager.regulators[rail]._trip(
         StatusBit.VIN_UV
     )
-    # Every rail browns out at its settle point: two absorptions fit the
-    # budget, the third pushes power to FAILED and the fault surfaces.
+    # Every rail browns out at its settle point: MAX_THROTTLE_EVENTS
+    # absorptions fit the budget, the next pushes power to FAILED and
+    # the fault surfaces.
     with pytest.raises(RailFaultError):
         manager.common_power_up()
-    assert policy.throttle_events == 2
+    assert policy.throttle_events == MAX_THROTTLE_EVENTS
     assert health.state is HealthState.FAILED
 
 

@@ -365,17 +365,6 @@ def test_partition_state_round_trips_through_snapshot():
     assert not switch2._partitioned("c", "a")  # oneway: reverse passes
 
 
-@pytest.mark.partition
-def test_v1_switch_snapshot_migrates_to_partitionless():
-    kernel, switch, links, received = _partitioned_pair()
-    v1_state = {"stats": {"forwarded": 3, "dropped_unknown": 0}, "egress_busy": {}}
-    migrated = switch.snap_migrate(v1_state, 1)
-    switch.restore_state(migrated)
-    assert switch.partition is None
-    assert switch.stats["dropped_partitioned"] == 0
-    assert switch.stats["forwarded"] == 3
-
-
 # -- bad parameters fail when they are set, not at the first send ------------
 
 NAN = float("nan")

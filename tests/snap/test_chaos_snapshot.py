@@ -187,42 +187,6 @@ def test_gateway_snapshot_requires_an_empty_queue():
         gw_a.snapshot_state()
 
 
-#: A gateway checkpoint as version 1 wrote it: its stats still carry
-#: the deadline-shed counter (already folded into ``rejected_shed``).
-V1_GATEWAY = {
-    "type": "Gateway",
-    "version": 1,
-    "state": {
-        "stats": {
-            "offered": 10, "admitted": 9, "cache_hits": 1, "rejected_throttled": 0,
-            "rejected_shed": 1, "shed_deadline": 1, "shed_breaker": 0, "completed": 9,
-            "errors": 0, "retries": 0, "hedges": 0, "hedge_wins": 0, "batches": 4,
-            "batched_requests": 9, "max_queue_depth": 3,
-        },
-        "retry_tokens": 0.0,
-        "bucket": {"tokens": 250.0, "last_ns": 9_000.0},
-        "cache": {"entries": [], "hits": 1, "misses": 8, "evictions": 0},
-        "rejections": [["deadline", "kvs_get", 8_000.0]],
-        "breakers": {},
-    },
-}
-
-
-def test_v1_gateway_snapshot_migrates_to_the_current_stats():
-    fresh = Gateway(Kernel(seed=1), GatewayConfig(), [])
-    gateway = Gateway(Kernel(seed=1), GatewayConfig(), [])
-    restore(gateway, V1_GATEWAY)
-    stats = gateway.stats
-    assert set(stats) == set(fresh.stats)
-    assert "shed_deadline" not in stats
-    assert stats["offered"] == (
-        stats["completed"]
-        + stats["rejected_throttled"]
-        + stats["rejected_shed"]
-        + stats["errors"]
-    )
-
-
 def test_gateway_restore_rejects_an_unknown_stats_key():
     """A stats key the gateway does not define is an error, not a
     counter silently brought back to life."""

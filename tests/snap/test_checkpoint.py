@@ -129,9 +129,10 @@ def test_store_snapshot_is_arena_exact():
 def test_restore_rejects_schema_mismatch():
     rack, clients, _ = _build()
     checkpoint = checkpoint_rack(rack, clients=clients)
-    # Schema 2 checkpoints embed a FleetConfig that still carries the
-    # deleted ``enabled`` flag, so they must fail with the typed error.
-    for schema in (99, 2):
+    # Schema 2 and 3 checkpoints embed a FleetConfig that still carries
+    # deleted fields (``enabled``; the wire and service timings), so
+    # they must fail with the typed error.
+    for schema in (99, 2, 3):
         checkpoint.schema = schema
         with pytest.raises(SnapshotError, match="schema"):
             restore_rack(checkpoint)

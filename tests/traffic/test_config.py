@@ -90,7 +90,7 @@ def test_request_class_values_must_be_finite(name, bad):
         {"batch_max": 0},
         {"batch_window_ns": -1.0},
         {"cache_slots": -1},
-        {"cache_hit_ns": 0.0},
+        {"retry_limit": 0},
         # Non-finite floats: a NaN admit_rps would silently disable the
         # token bucket.
         {"admit_rps": math.nan},
@@ -99,8 +99,8 @@ def test_request_class_values_must_be_finite(name, bad):
         {"batch_window_ns": math.inf},
         {"batch_overhead_ns": math.nan},
         {"batch_overhead_ns": math.inf},
-        {"cache_hit_ns": math.nan},
-        {"cache_hit_ns": math.inf},
+        {"retry_budget": math.nan},
+        {"retry_budget": math.inf},
         {"breaker_reset_ns": math.nan},
         {"breaker_reset_ns": math.inf},
     ],
