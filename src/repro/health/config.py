@@ -1,16 +1,14 @@
 """The ``health`` section of the platform configuration tree.
 
-Like :class:`repro.faults.FaultsConfig`, the health layer is data
-first, but its only settings are the master switch and the seed of the
-backoff jitter: the watchdog deadlines, circuit-breaker thresholds,
-degradation policies and recovery ladder are module constants where
-they are read (:mod:`repro.health.supervisor`,
-:mod:`repro.health.policy`, :mod:`repro.health.orchestrator`).
-``enabled`` defaults to False and the contract is the same as the
-fault plan's: a disabled health section arms *nothing* -- every hook
-stays ``None`` and the twin's behaviour (timings, stats, golden
-traces, benchmark numbers) is bit-identical to a build without this
-package.
+Two settings: the master switch and the seed of the backoff jitter.
+The watchdog deadlines, circuit-breaker thresholds, degradation
+policies and recovery ladder are module constants where they are read
+(:mod:`repro.health.supervisor`, :mod:`repro.health.policy`,
+:mod:`repro.health.orchestrator`).  ``enabled`` defaults to False and
+the contract is the same as :class:`repro.faults.FaultsConfig`'s: a
+disabled health section arms *nothing* -- every hook stays ``None``
+and the twin's behaviour (timings, stats, golden traces, benchmark
+numbers) is bit-identical to a build without this package.
 """
 
 from __future__ import annotations

@@ -15,8 +15,8 @@ Each level gets :data:`ATTEMPTS_PER_LEVEL` attempts with exponential
 backoff from :data:`BACKOFF_S`; every backoff is stretched by a uniform
 jitter of up to :data:`JITTER` drawn from a seeded RNG handed in by
 the supervisor, so two runs with the same seed take byte-identical
-recovery timelines.  Every attempt and every escalation is counted through
-``repro.obs`` (``recovery_attempts_total{level}``,
+recovery timelines.  Every attempt and every escalation is counted
+through ``repro.obs`` (``recovery_attempts_total{level}``,
 ``recovery_escalations_total``), which is how a soak report proves the
 ladder actually climbed.
 """
