@@ -22,6 +22,7 @@ tree whose leaves are ints, floats, bools, strings, or tuples of those.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Any, Dict, Mapping, Tuple, get_args, get_type_hints
 
 
@@ -100,6 +101,8 @@ def _decode_value(hint: Any, value: Any, path: str) -> Any:
     if hint is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(path, f"expected a number, got {value!r}")
+        if not math.isfinite(value):
+            raise ConfigError(path, f"expected a finite number, got {value!r}")
         return float(value)
     if hint is int:
         if isinstance(value, bool) or not isinstance(value, int):

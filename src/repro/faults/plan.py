@@ -136,14 +136,14 @@ class FaultSpec:
                 f"site {self.site!r} has no fault kind {self.kind!r}; "
                 f"known: {', '.join(sorted(kinds))}"
             )
-        if self.at < 0:
-            raise ValueError(f"fault time must be non-negative, got {self.at}")
+        if not 0 <= self.at < math.inf:
+            raise ValueError(f"fault time must be finite and non-negative, got {self.at}")
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count}")
         if not 0.0 <= self.rate <= 1.0:
             raise ValueError(f"rate must be in [0, 1], got {self.rate}")
-        if self.duration < 0:
-            raise ValueError(f"duration must be non-negative, got {self.duration}")
+        if not 0 <= self.duration < math.inf:
+            raise ValueError(f"duration must be finite and non-negative, got {self.duration}")
         if self.site == "bmc.rail" and not self.arg:
             raise ValueError("bmc.rail faults need arg=<rail name>")
         if self.site == "boot.stage" and not self.arg:

@@ -2,11 +2,13 @@
 and provenance."""
 
 import json
+import math
 import re
 
 import pytest
 
 from repro.config import ConfigError, PlatformConfig, preset, preset_names
+from repro.config.schema import encode
 from repro.eci import EciLinkParams
 
 
@@ -140,6 +142,42 @@ def test_type_mismatch_names_path():
 def test_bool_is_not_a_number():
     with pytest.raises(ConfigError, match=r"fpga\.clock_mhz"):
         PlatformConfig.from_dict({"fpga": {"clock_mhz": True}})
+
+
+def _float_leaf_paths(tree, path=""):
+    for key, value in tree.items():
+        leaf = f"{path}.{key}" if path else key
+        if isinstance(value, dict):
+            yield from _float_leaf_paths(value, leaf)
+        elif isinstance(value, float):
+            yield leaf
+
+
+def _nested(path, value):
+    doc = value
+    for part in reversed(path.split(".")):
+        doc = {part: doc}
+    return doc
+
+
+def test_non_finite_float_leaf_names_dotted_path():
+    paths = list(_float_leaf_paths(encode(preset("full"))))
+    assert len(paths) > 50
+    accepted = []
+    for path in paths:
+        for value in (math.nan, math.inf, -math.inf):
+            for build in (
+                lambda: preset("full").with_overrides({path: value}),
+                lambda: PlatformConfig.from_dict(_nested(path, value)),
+            ):
+                try:
+                    build()
+                except ConfigError as exc:
+                    if exc.path != path:
+                        accepted.append((path, value, exc.path))
+                else:
+                    accepted.append((path, value))
+    assert not accepted
 
 
 def test_section_must_be_mapping():

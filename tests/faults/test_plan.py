@@ -71,6 +71,13 @@ def test_spec_field_validation():
         FaultSpec("eci.link", "lane_drop")  # missing value
     with pytest.raises(ValueError):
         FaultSpec("eci.link", "crc_storm", rate=0.2, duration=-1.0)
+    # A NaN or infinite time would construct and then never fire, or
+    # fail only once armed.
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            FaultSpec("bmc.rail", "ocp", arg="VDD_CORE", at=value)
+        with pytest.raises(ValueError, match="finite"):
+            FaultSpec("fleet.partition", "split", arg="a|b", duration=value)
 
 
 def test_recovery_validation():
