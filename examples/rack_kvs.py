@@ -37,14 +37,8 @@ KILL_AT_NS = 1_500.0
 N_KEYS = 48
 
 
-def run_rack(machines: int, seed: int, record_taps: bool = False) -> dict:
-    """One full scenario; returns the canonical (deterministic) result.
-
-    ``record_taps`` puts a :class:`repro.snap.MessageTap` on every board
-    so any one of them can be replayed in isolation afterwards; the
-    result then carries ``traces`` (per-board record lists).  Recording
-    does not perturb the run: the taps only observe.
-    """
+def run_rack(machines: int, seed: int) -> dict:
+    """One full scenario; returns the canonical (deterministic) result."""
     fleet = preset("rack8").fleet
     if machines != fleet.machines or seed != fleet.seed:
         import dataclasses
@@ -53,11 +47,6 @@ def run_rack(machines: int, seed: int, record_taps: bool = False) -> dict:
 
     obs = MetricsRegistry()
     rack = Rack(fleet, obs=obs)
-    taps = None
-    if record_taps:
-        from repro.snap import attach_taps
-
-        taps = attach_taps(rack)
     client = rack.client()
     keys = [f"user:{i:04d}".encode() for i in range(N_KEYS)]
 
@@ -95,23 +84,6 @@ def run_rack(machines: int, seed: int, record_taps: bool = False) -> dict:
     assert client.stats["timeouts"] >= 1, "kill never hit an in-flight request"
 
     rollup = FleetRollup(obs)
-    result_traces = (
-        {name: tap.records for name, tap in taps.items()} if taps else None
-    )
-    if result_traces is not None:
-        return {
-            "traces": result_traces,
-            "fleet": fleet,
-            "obs": obs,
-            "served": {
-                name: dict(m.server.stats) for name, m in rack.machines.items()
-            },
-            **_canonical(fleet, victim, rack, client, injector, rollup, obs),
-        }
-    return _canonical(fleet, victim, rack, client, injector, rollup, obs)
-
-
-def _canonical(fleet, victim, rack, client, injector, rollup, obs) -> dict:
     return {
         "machines": fleet.machines,
         "seed": fleet.seed,

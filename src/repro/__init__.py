@@ -20,12 +20,11 @@ full API lives in the subpackages:
 """
 
 from .config import PlatformConfig, preset, preset_names, run_sweep
-from .platform import EnzianConfig, EnzianMachine, run_figure12
+from .platform import EnzianMachine, run_figure12
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "EnzianConfig",
     "EnzianMachine",
     "PlatformConfig",
     "preset",

@@ -24,7 +24,7 @@ byte-for-byte what the historical point-to-point pair produced
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence, Tuple, Union
+from typing import Iterable, Mapping, Sequence, Tuple
 
 from ..eci.messages import Message
 from ..eci.protocol import ProtocolNode, Transport
@@ -52,9 +52,9 @@ class BridgePort(ProtocolNode):
     Attached to the local transport as a *range proxy*: every remote
     node id is registered to route here.  ``routes`` maps each remote
     node id to the address of the machine hosting it; frames from any
-    peer are decoded and re-injected locally.  The historical
-    point-to-point form is the special case where every route points at
-    the same peer address.
+    peer are decoded and re-injected locally.  The point-to-point pair
+    is the special case where every route points at the same peer
+    address.
     """
 
     def __init__(
@@ -63,22 +63,16 @@ class BridgePort(ProtocolNode):
         transport: Transport,
         link: EthernetLink,
         local_address: str,
-        routes: Union[Mapping[int, str], str],
-        remote_node_ids: Iterable[int] = (),
+        routes: Mapping[int, str],
         proxy_id: int = 0,
     ):
-        # Back-compat: the legacy signature passed a single remote
-        # address plus the node ids living behind it.
-        if isinstance(routes, str):
-            routes = {node_id: routes for node_id in remote_node_ids}
         self.kernel = kernel
         self.transport = transport
         self.routes: dict[int, str] = dict(routes)
-        self.remote_node_ids = frozenset(self.routes)
-        if not self.remote_node_ids:
+        if not self.routes:
             raise BridgeTopologyError("bridge needs at least one remote node id")
         self.node_id = proxy_id
-        for node_id in sorted(self.remote_node_ids):
+        for node_id in sorted(self.routes):
             self._attach_as(transport, node_id)
         self.link = link
         self.local_address = local_address

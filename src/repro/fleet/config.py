@@ -8,7 +8,7 @@ quorums are not knobs: they are derived majorities of the replication
 factor (:attr:`FleetConfig.write_quorum`, :attr:`FleetConfig.read_quorum`).
 The rack's wire and service timings are not knobs either: no preset,
 example or benchmark ever set them, so they are the module constants
-below, shared by the rack, its clients and single-board replay.
+below, shared by the rack, its shard servers and its clients.
 
 The section acts only once a :class:`repro.fleet.rack.Rack` is built
 from it: building a rack is the decision to run one, and a run that

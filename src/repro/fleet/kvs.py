@@ -56,7 +56,7 @@ from typing import Dict, List, Optional, Tuple
 from ..apps.kvs import HashTableStore
 from ..net.ethernet import EthernetLink, Frame
 from ..sim import Awaitable, Kernel
-from .config import REQUEST_TIMEOUT_NS
+from .config import REQUEST_TIMEOUT_NS, SERVICE_NS
 from .errors import FleetError
 
 #: Modeled wire overhead of a KVS request/response header (op, txid,
@@ -186,7 +186,6 @@ class KvsShardServer:
         name: str,
         link: EthernetLink,
         store: HashTableStore,
-        service_ns: float,
         obs=None,
     ):
         from ..obs import NULL_REGISTRY
@@ -195,7 +194,6 @@ class KvsShardServer:
         self.name = name
         self.link = link
         self.store = store
-        self.service_ns = service_ns
         self.obs = obs if obs is not None else NULL_REGISTRY
         self.address = f"{name}#kvs"
         self.alive = True
@@ -330,7 +328,7 @@ class KvsShardServer:
         seq = self._service_seq
         self._service_seq += 1
         self._in_service[seq] = request
-        self.kernel.call_after(self.service_ns, self._complete, seq)
+        self.kernel.call_after(SERVICE_NS, self._complete, seq)
 
     def _stale_epoch(self, request: KvsRequest) -> bool:
         """Should this request be fenced off by the epoch guard?

@@ -47,7 +47,6 @@ from ..sim import Kernel
 from .config import (
     LINK_GBPS,
     LINK_PROPAGATION_NS,
-    SERVICE_NS,
     SWITCH_FORWARDING_NS,
     VNODES,
     FleetConfig,
@@ -118,9 +117,7 @@ class Rack:
         self.machines: Dict[str, RackMachine] = {}
         for name in names:
             store = HashTableStore(n_slots=fleet.kvs_slots)
-            server = KvsShardServer(
-                self.kernel, name, links[name], store, SERVICE_NS, obs=obs
-            )
+            server = KvsShardServer(self.kernel, name, links[name], store, obs=obs)
             health = HealthStateMachine(
                 f"fleet.{name}", obs=obs, clock=lambda: self.kernel.now
             )
@@ -136,11 +133,6 @@ class Rack:
         self.active_partition: Optional[dict] = None
         #: Partition lifecycle log: (t, event, detail).
         self.partitions: list[Tuple[float, str, str]] = []
-        #: Optional per-board :class:`repro.snap.MessageTap` instances
-        #: (attached by :func:`repro.snap.attach_taps`); sync_health
-        #: mirrors out-of-band liveness changes into them so a recorded
-        #: board can be replayed in isolation.
-        self.taps: Dict[str, object] = {}
         if self.obs:
             self.obs.gauge("fleet_machines_live").set(len(names))
 
@@ -160,15 +152,11 @@ class Rack:
     # -- quorum epochs -------------------------------------------------------
 
     def _fence(self, names: Iterable[str]) -> None:
-        """Push the current ring epoch into the named live servers (and
-        into their taps, so a recorded board replays the same fence)."""
+        """Push the current ring epoch into the named live servers."""
         for name in names:
             machine = self.machines.get(name)
             if machine is not None and machine.alive:
                 machine.server.set_epoch(self.ring_epoch)
-                tap = self.taps.get(name)
-                if tap is not None:
-                    tap.control("epoch", epoch=self.ring_epoch)
 
     def _controller_side(self) -> Tuple[str, ...]:
         """The machines the controller can reach: everyone, or -- during
@@ -326,9 +314,6 @@ class Rack:
             if machine.alive or name not in self.ring.machines:
                 continue
             machine.server.down()
-            tap = self.taps.get(name)
-            if tap is not None:
-                tap.control("down")
             if len(self.ring.machines) > 1:
                 self.ring = self.ring.removed(name)
                 detail = "removed from ring"
@@ -424,9 +409,6 @@ class Rack:
         if name not in self.ring.machines:
             self.ring = self.ring.extended(name)
         self._bump_epoch("membership")
-        tap = self.taps.get(name)
-        if tap is not None:
-            tap.control("up")
         self.failovers.append((self.kernel.now, name, "rejoined ring"))
         if self.obs:
             self.obs.counter("fleet_rejoins_total", {"machine": name}).inc()

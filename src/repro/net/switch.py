@@ -209,12 +209,7 @@ class Switch:
             if busy > departure:  # max(departure, busy), same float
                 departure = busy
             self._egress_busy[host] = departure + frame.wire_bytes / link.rate
-        self.kernel.call_at(departure, self._egress, (link, frame))
-
-    @staticmethod
-    def _egress(hop: Tuple[EthernetLink, Frame]) -> None:
-        # ``send`` is looked up now, not at ingress: a MessageTap may wrap it.
-        hop[0].send(hop[1])
+        self.kernel.call_at(departure, link.send, frame)
 
     # -- checkpoint/restore (repro.snap) ---------------------------------
 

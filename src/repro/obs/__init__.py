@@ -1,4 +1,4 @@
-"""Platform-wide observability: metrics registry, tracer, exporters.
+"""Platform-wide observability: metrics registry and exporters.
 
 Usage::
 
@@ -38,7 +38,6 @@ from .metrics import (
     ObsEvent,
     labels_key,
 )
-from .tracer import NULL_SPAN, NullTracer, Span, Tracer
 
 __all__ = [
     "Counter",
@@ -47,14 +46,10 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NullRegistry",
-    "NullTracer",
     "NULL_INSTRUMENT",
     "NULL_REGISTRY",
-    "NULL_SPAN",
     "ObsError",
     "ObsEvent",
-    "Span",
-    "Tracer",
     "component_of",
     "component_summary",
     "events_jsonl",

@@ -62,7 +62,7 @@ def _bucket_table(base: float) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
 
 
 class ObsError(ValueError):
-    """An observability-API misuse (kind conflict, double finish, ...)."""
+    """An observability-API misuse (kind conflict, negative increment, ...)."""
 
 
 def labels_key(labels: Optional[Mapping[str, Any]]) -> LabelsKey:
@@ -77,7 +77,7 @@ class ObsEvent:
     """One timestamped update, recorded when the registry logs events."""
 
     t: float
-    kind: str          # 'counter' | 'gauge' | 'histogram' | 'span_start' | 'span_end'
+    kind: str          # 'counter' | 'gauge' | 'histogram'
     name: str
     labels: LabelsKey
     value: float
@@ -252,7 +252,7 @@ class Family:
 
 
 class MetricsRegistry:
-    """Instrument factory, event log, and tracer root for one system.
+    """Instrument factory and event log for one system.
 
     ``clock`` supplies event timestamps; a :class:`repro.sim.Kernel`
     built with ``Kernel(obs=registry)`` installs its own ``now`` unless
@@ -277,10 +277,6 @@ class MetricsRegistry:
         #: shares one bucket layout (merges and rollups add buckets).
         self._histogram_bases: Dict[str, float] = {}
         self._families: Dict[tuple, Family] = {}
-        # Imported here to avoid a cycle at module load time.
-        from .tracer import Tracer
-
-        self.tracer = Tracer(registry=self)
 
     # -- time ------------------------------------------------------------
 
@@ -519,14 +515,9 @@ class NullRegistry:
     nothing must cost nothing and change nothing.
     """
 
-    __slots__ = ("tracer",)
+    __slots__ = ()
     record_events = False
     events: tuple = ()
-
-    def __init__(self):
-        from .tracer import NullTracer
-
-        self.tracer = NullTracer()
 
     @property
     def now(self) -> float:

@@ -1,5 +1,5 @@
 """Platform assembly: the complete Enzian machine."""
 
-from .enzian import EnzianConfig, EnzianMachine, figure12_phases, run_figure12
+from .enzian import EnzianMachine, figure12_phases, run_figure12
 
-__all__ = ["EnzianConfig", "EnzianMachine", "figure12_phases", "run_figure12"]
+__all__ = ["EnzianMachine", "figure12_phases", "run_figure12"]

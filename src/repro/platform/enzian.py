@@ -11,15 +11,11 @@ A machine is built from a :class:`repro.config.PlatformConfig` tree
 preset::
 
     machine = EnzianMachine.from_preset("bringup_4lane")
-
-The historical :class:`EnzianConfig` knob bundle keeps working and is
-translated onto the tree internally.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from ..bmc import ConsoleMux, Phase, PowerManager, TelemetryService
 from ..boot import BootOrchestrator, BootTimeline
@@ -38,43 +34,16 @@ from ..apps.stress import (
 )
 
 
-@dataclass(frozen=True)
-class EnzianConfig:
-    """Legacy build options for a machine instance.
-
-    Retained for back-compat; prefer :class:`repro.config.PlatformConfig`
-    presets with dotted-path overrides.
-    """
-
-    cpu_dram_gib: int = 128
-    fpga_dram_gib: int = 512
-    fpga_clock_mhz: float = 300.0
-    eci_links: int = 2
-
-    def to_platform_config(self) -> PlatformConfig:
-        """Translate the legacy knobs onto the unified tree."""
-        return preset("full").with_overrides(
-            {
-                "memory.cpu_dram.channel.dimm_gib": self.cpu_dram_gib // 4,
-                "memory.fpga_dram.channel.dimm_gib": self.fpga_dram_gib // 4,
-                "fpga.clock_mhz": self.fpga_clock_mhz,
-                "eci.links_used": self.eci_links,
-            }
-        )
-
-
 class EnzianMachine:
     """One Enzian board, from PSU to Linux."""
 
     def __init__(
         self,
-        config: Optional[Union[PlatformConfig, EnzianConfig]] = None,
+        config: Optional[PlatformConfig] = None,
         obs=None,
     ):
         if config is None:
             config = preset("full")
-        elif isinstance(config, EnzianConfig):
-            config = config.to_platform_config()
         self.config: PlatformConfig = config
         self.obs = obs
         self.power = PowerManager.from_config(config, obs=obs)

@@ -29,8 +29,8 @@ parked its progress in explicit component state.
 
 :func:`tagged` wraps a snapshot with the component's type name and
 ``SNAP_VERSION``; :func:`restore` validates both before handing the
-state back.  A component that changes shape can keep restoring old
-checkpoints by implementing ``snap_migrate(state, version) -> dict``.
+state back.  A component that changes shape bumps ``SNAP_VERSION``,
+and checkpoints taken at another version no longer restore.
 """
 
 from __future__ import annotations
@@ -76,10 +76,7 @@ def tagged(obj: Any) -> Dict[str, Any]:
 def restore(obj: Any, tag: Dict[str, Any]) -> None:
     """Validate a tagged snapshot against ``obj`` and restore it.
 
-    The tag's type name must match ``obj``'s class exactly.  A tag
-    *newer* than the class is always an error; an older tag is routed
-    through ``obj.snap_migrate(state, version)`` when the class
-    provides it, and rejected otherwise.
+    The tag's type name and version must match ``obj``'s class exactly.
     """
     if not is_snapshottable(obj):
         raise SnapshotError(f"{type(obj).__name__} is not Snapshottable")
@@ -95,28 +92,20 @@ def restore(obj: Any, tag: Dict[str, Any]) -> None:
     if not isinstance(state, dict):
         raise SnapshotError(f"{name}: snapshot state must be a dict, got {type(state).__name__}")
     if version != current:
-        if not isinstance(version, int) or version > current:
-            raise SnapshotError(
-                f"{name}: cannot restore snapshot version {version!r} "
-                f"with code at version {current}"
-            )
-        migrate = getattr(obj, "snap_migrate", None)
-        if migrate is None:
-            raise SnapshotError(
-                f"{name}: snapshot version {version} predates code version "
-                f"{current} and the class defines no snap_migrate hook"
-            )
-        state = migrate(state, version)
+        raise SnapshotError(
+            f"{name}: cannot restore snapshot version {version!r} "
+            f"with code at version {current}"
+        )
     obj.restore_state(state)
 
 
 # -- JSON encoding ---------------------------------------------------------
 #
 # Snapshots are plain data plus ``bytes`` leaves (store arenas, payload
-# bodies).  For on-disk checkpoints and message traces the structure is
-# made JSON-safe by tagging bytes as {"__b64__": ...}; everything else
-# passes through unchanged.  In-memory checkpoints (the fork-a-sweep
-# hot path) never pay this cost.
+# bodies).  For on-disk checkpoints the structure is made JSON-safe by
+# tagging bytes as {"__b64__": ...}; everything else passes through
+# unchanged.  In-memory checkpoints (the fork-a-sweep hot path) never
+# pay this cost.
 
 _B64_KEY = "__b64__"
 

@@ -3,8 +3,8 @@
 Runs the quickstart coherent-traffic workload (write / read-back /
 flush through the MOESI protocol) with an event-recording registry
 attached to the transport and agents — but NOT the kernel, so the log
-contains only protocol-visible events plus tracer spans — and compares
-the JSON-lines export byte-for-byte against a checked-in golden file.
+contains only protocol-visible events — and compares the JSON-lines
+export byte-for-byte against a checked-in golden file.
 
 To regenerate after an intentional protocol or exporter change:
 
@@ -33,17 +33,12 @@ def _run_quickstart_traffic() -> MetricsRegistry:
     cpu_cache = CacheAgent(
         kernel, 1, transport, home_for=lambda a: 0, name="cpu-l2"
     )
-    tracer = registry.tracer
 
     def workload():
-        with tracer.span("quickstart", addr=0x1000):
-            with tracer.span("write"):
-                yield from cpu_cache.write(0x1000, PATTERN)
-            with tracer.span("read"):
-                data = yield from cpu_cache.read(0x1000)
-            assert data == PATTERN
-            with tracer.span("flush"):
-                yield from cpu_cache.flush(0x1000)
+        yield from cpu_cache.write(0x1000, PATTERN)
+        data = yield from cpu_cache.read(0x1000)
+        assert data == PATTERN
+        yield from cpu_cache.flush(0x1000)
 
     kernel.run_process(workload())
     return registry
@@ -73,9 +68,7 @@ def test_quickstart_trace_is_run_to_run_stable():
 def test_golden_trace_content_sanity():
     events = parse_jsonl(GOLDEN.read_text())
     kinds = {e["kind"] for e in events}
-    assert {"counter", "span_start", "span_end"} <= kinds
-    spans = [e["name"] for e in events if e["kind"] == "span_start"]
-    assert spans == ["quickstart", "write", "read", "flush"]
+    assert "counter" in kinds
     vcs = {e["labels"]["vc"] for e in events if e["name"] == "eci_messages_total"}
     assert {"REQ", "RSP"} <= vcs
     stamps = [e["t"] for e in events]

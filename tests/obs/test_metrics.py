@@ -199,9 +199,3 @@ def test_null_registry_is_falsy_noop_singleton():
     assert NULL_REGISTRY.snapshot() == []
     assert list(NULL_REGISTRY.metrics()) == []
     assert isinstance(NULL_REGISTRY, NullRegistry)
-
-
-def test_null_tracer_span_is_noop_context_manager():
-    with NULL_REGISTRY.tracer.span("anything", key="value") as span:
-        assert not span
-    assert NULL_REGISTRY.tracer.finished == ()

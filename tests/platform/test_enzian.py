@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.platform import EnzianConfig, EnzianMachine, figure12_phases, run_figure12
+from repro.platform import EnzianMachine, figure12_phases, run_figure12
 
 
 def test_machine_power_on_reaches_linux():
@@ -15,7 +15,11 @@ def test_machine_power_on_reaches_linux():
 
 
 def test_machine_config_plumbs_through():
-    machine = EnzianMachine(EnzianConfig(fpga_dram_gib=64))
+    from repro.config import preset
+
+    machine = EnzianMachine(
+        preset("full").with_overrides({"memory.fpga_dram.channel.dimm_gib": 16})
+    )
     assert machine.address_space.total_bytes(node=1) == 64 << 30
     assert machine.soc.spec.n_cores == 48
 
@@ -107,13 +111,3 @@ def test_machine_accepts_platform_config_directly():
     assert machine.config is cfg
     machine.power_on()
     assert machine.shell.clock_mhz == pytest.approx(250.0)
-
-
-def test_legacy_enzian_config_translates_onto_the_tree():
-    legacy = EnzianConfig(fpga_dram_gib=64, eci_links=1, fpga_clock_mhz=200.0)
-    machine = EnzianMachine(legacy)
-    deviations = machine.config.deviations()
-    assert deviations["memory.fpga_dram.channel.dimm_gib"] == (128, 16)
-    assert deviations["eci.links_used"] == (2, 1)
-    assert deviations["fpga.clock_mhz"] == (300.0, 200.0)
-    assert machine.address_space.total_bytes(node=1) == 64 << 30

@@ -1,5 +1,5 @@
-"""The Snapshottable protocol itself: tagging, validation, migration,
-and the JSON-safe encoding of bytes-bearing snapshots."""
+"""The Snapshottable protocol itself: tagging, validation, and the
+JSON-safe encoding of bytes-bearing snapshots."""
 
 import pytest
 
@@ -28,13 +28,6 @@ class Widget:
     def restore_state(self, state):
         self.count = state["count"]
         self.blob = state["blob"]
-
-
-class MigratingWidget(Widget):
-    def snap_migrate(self, state, version):
-        # v1 stored "n" instead of "count" and had no blob.
-        assert version == 1
-        return {"count": state["n"], "blob": b""}
 
 
 class NotSnapshottable:
@@ -78,15 +71,10 @@ def test_restore_rejects_newer_version():
 
 def test_restore_rejects_older_version_without_migrate():
     tag = {"type": "Widget", "version": 1, "state": {"n": 5}}
-    with pytest.raises(SnapshotError, match="snap_migrate"):
+    with pytest.raises(
+        SnapshotError, match="cannot restore snapshot version 1 with code at version 2"
+    ):
         restore(Widget(), tag)
-
-
-def test_restore_migrates_older_version():
-    tag = {"type": "MigratingWidget", "version": 1, "state": {"n": 5}}
-    w = MigratingWidget()
-    restore(w, tag)
-    assert w.count == 5 and w.blob == b""
 
 
 def test_restore_rejects_non_dict_state():
