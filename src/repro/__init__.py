@@ -19,17 +19,11 @@ full API lives in the subpackages:
 * :mod:`repro.platform` -- the assembled machine
 """
 
-from .config import PlatformConfig, preset, preset_names, run_sweep
-from .platform import EnzianMachine, run_figure12
+from ._exports import exports
+
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "config": ("PlatformConfig", "preset", "preset_names", "run_sweep"),
+    "platform": ("EnzianMachine", "run_figure12"),
+})
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "EnzianMachine",
-    "PlatformConfig",
-    "preset",
-    "preset_names",
-    "run_figure12",
-    "run_sweep",
-    "__version__",
-]

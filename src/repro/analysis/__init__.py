@@ -1,25 +1,11 @@
 """Analysis and reporting helpers for the benchmark harness."""
 
-from .report import ratio_summary, render_series, render_table
-from .series import (
-    SeriesError,
-    Step,
-    detect_steps,
-    integrate,
-    moving_average,
-    resample,
-    summarize,
-)
+from .._exports import exports
 
-__all__ = [
-    "SeriesError",
-    "Step",
-    "detect_steps",
-    "integrate",
-    "moving_average",
-    "ratio_summary",
-    "render_series",
-    "render_table",
-    "resample",
-    "summarize",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "report": ("ratio_summary", "render_series", "render_table"),
+    "series": (
+        "SeriesError", "Step", "detect_steps", "integrate", "moving_average", "resample",
+        "summarize",
+    ),
+})

@@ -5,18 +5,11 @@ need no numpy.  The ensemble itself is in :mod:`.model` and the
 streaming run in :mod:`.streaming`; import them from there.
 """
 
-from .accel import (
-    CYCLES_PER_TUPLE,
-    FIGURE9_PLATFORMS,
-    EnginePlatform,
-    GbdtAccelerator,
-    figure9_throughputs,
-)
+from ..._exports import exports
 
-__all__ = [
-    "CYCLES_PER_TUPLE",
-    "EnginePlatform",
-    "FIGURE9_PLATFORMS",
-    "GbdtAccelerator",
-    "figure9_throughputs",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "accel": (
+        "CYCLES_PER_TUPLE", "FIGURE9_PLATFORMS", "EnginePlatform", "GbdtAccelerator",
+        "figure9_throughputs",
+    ),
+})

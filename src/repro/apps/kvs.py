@@ -12,10 +12,11 @@ with a CPU software server (per-request kernel + stack cost).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from typing import Optional
 
 import zlib
+
+from ..params import KvsPerformanceParams
 
 MAX_KEY_BYTES = 32
 MAX_VALUE_BYTES = 120
@@ -195,20 +196,6 @@ class HashTableStore:
         self.items = state["items"]
         self.stats.update(state["stats"])
         self._index = {self._slot(index)[1]: index for index in self._full_slots()}
-
-
-@dataclass(frozen=True)
-class KvsPerformanceParams:
-    """Request-rate model: FPGA pipeline vs CPU software server."""
-
-    fpga_clock_mhz: float = 300.0
-    #: Pipeline initiation interval per request (hash, probe, DRAM access).
-    fpga_cycles_per_request: float = 12.0
-    #: CPU path: kernel network stack + hash table walk per request (ns).
-    cpu_ns_per_request: float = 2_300.0
-    cpu_cores: int = 48
-    link_gbps: float = 100.0
-    request_bytes: int = 64
 
 
 def fpga_requests_per_s(params: KvsPerformanceParams | None = None) -> float:

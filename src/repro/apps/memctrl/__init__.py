@@ -1,9 +1,7 @@
 """The FPGA as a custom memory controller (Figure 10, §5.4)."""
 
-from .reduction import (
-    ReductionEngine,
-    ReductionHomeAgent,
-    ViewWindow,
-)
+from ..._exports import exports
 
-__all__ = ["ReductionEngine", "ReductionHomeAgent", "ViewWindow"]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "reduction": ("ReductionEngine", "ReductionHomeAgent", "ViewWindow"),
+})

@@ -9,25 +9,9 @@ power well over 100 W).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..bmc.regulators import LoadBook
 from ..fpga.fabric import XCVU9P, Fabric, FabricResources
-
-
-@dataclass(frozen=True)
-class CpuLoadLevels:
-    """VDD_CORE draw (watts) of the Figure 12 CPU phases."""
-
-    idle_w: float = 28.0
-    bdk_dram_check_w: float = 45.0
-    bus_test_w: float = 55.0
-    memtest_marching_w: float = 88.0
-    memtest_random_w: float = 95.0
-
-    def dram_w(self, active: bool) -> float:
-        """Per-DRAM-group (two channels) draw."""
-        return 14.0 if active else 4.0
+from ..params import CpuLoadLevels
 
 
 def apply_cpu_phase(loads: LoadBook, core_w: float, dram_active: bool,

@@ -1,54 +1,18 @@
 """The machine-vision pipeline workload (§5.4)."""
 
-from .blur import edge_detect, gaussian_blur3
-from .frames import (
-    BYTES_PER_PIXEL,
-    HEIGHT,
-    WIDTH,
-    frame_from_bytes,
-    frame_to_bytes,
-    synthetic_frame,
-)
-from .pipeline import (
-    MODE_TIMINGS,
-    ModeTiming,
-    ReductionMode,
-    VisionPerformanceModel,
-    VisionPoint,
-    hard_pipeline,
-    reduce_frame,
-    soft_pipeline,
-)
-from .rgb2y import (
-    dequantize4,
-    pack4,
-    quantization_error_bound,
-    quantize4,
-    rgb_to_y,
-    unpack4,
-)
+from ..._exports import exports
 
-__all__ = [
-    "BYTES_PER_PIXEL",
-    "HEIGHT",
-    "MODE_TIMINGS",
-    "ModeTiming",
-    "ReductionMode",
-    "VisionPerformanceModel",
-    "VisionPoint",
-    "WIDTH",
-    "dequantize4",
-    "edge_detect",
-    "frame_from_bytes",
-    "frame_to_bytes",
-    "gaussian_blur3",
-    "hard_pipeline",
-    "pack4",
-    "quantization_error_bound",
-    "quantize4",
-    "reduce_frame",
-    "rgb_to_y",
-    "soft_pipeline",
-    "synthetic_frame",
-    "unpack4",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "blur": ("edge_detect", "gaussian_blur3"),
+    "frames": (
+        "BYTES_PER_PIXEL", "HEIGHT", "WIDTH", "frame_from_bytes", "frame_to_bytes",
+        "synthetic_frame",
+    ),
+    "pipeline": (
+        "MODE_TIMINGS", "ModeTiming", "ReductionMode", "VisionPerformanceModel", "VisionPoint",
+        "hard_pipeline", "reduce_frame", "soft_pipeline",
+    ),
+    "rgb2y": (
+        "dequantize4", "pack4", "quantization_error_bound", "quantize4", "rgb_to_y", "unpack4",
+    ),
+})

@@ -1,95 +1,26 @@
 """The baseboard management controller: Enzian's open control plane."""
 
-from .console import ConsoleMux, Uart
-from .i2c import I2cBus, I2cDevice, I2cError, I2cTiming
-from .pmbus import (
-    Operation,
-    PmbusCommand,
-    PmbusFormatError,
-    StatusBit,
-    VOUT_MODE_DEFAULT,
-    linear11_decode,
-    linear11_encode,
-    linear16_decode,
-    linear16_encode,
-)
-from .power_manager import (
-    PRIMARY_DOMAINS,
-    RailFaultError,
-    decode_status,
-    RAIL_ELECTRICAL,
-    PowerManager,
-    PowerManagerError,
-)
-from .regulators import (
-    BoardClock,
-    LoadBook,
-    PowerRail,
-    RegulatorParams,
-    VoltageRegulator,
-)
-from .sequencing import (
-    ALL_RAILS,
-    COMMON_RAILS,
-    CPU_RAILS,
-    FPGA_RAILS,
-    RailRequirement,
-    SequencingError,
-    power_down_order,
-    solve_sequence,
-    verify_sequence,
-)
-from .smbus import SmbusController, SmbusDevice, SmbusError, crc8
-from .telemetry import Phase, PowerSample, PowerTrace, TelemetryService
-from .thermal import FanController, ThermalNode, ThermalParams, ThermalZone, enzian_thermal_zone
+from .._exports import exports
 
-__all__ = [
-    "ALL_RAILS",
-    "BoardClock",
-    "COMMON_RAILS",
-    "CPU_RAILS",
-    "ConsoleMux",
-    "FPGA_RAILS",
-    "I2cBus",
-    "I2cDevice",
-    "I2cError",
-    "I2cTiming",
-    "LoadBook",
-    "Operation",
-    "PRIMARY_DOMAINS",
-    "Phase",
-    "PmbusCommand",
-    "PmbusFormatError",
-    "PowerManager",
-    "PowerManagerError",
-    "RailFaultError",
-    "decode_status",
-    "PowerRail",
-    "PowerSample",
-    "PowerTrace",
-    "RAIL_ELECTRICAL",
-    "RailRequirement",
-    "RegulatorParams",
-    "SequencingError",
-    "SmbusController",
-    "SmbusDevice",
-    "SmbusError",
-    "StatusBit",
-    "TelemetryService",
-    "Uart",
-    "VOUT_MODE_DEFAULT",
-    "VoltageRegulator",
-    "FanController",
-    "ThermalNode",
-    "ThermalParams",
-    "ThermalZone",
-    "crc8",
-    "enzian_thermal_zone",
-    "linear11_decode",
-    "linear11_encode",
-    "linear16_decode",
-    "linear16_encode",
-    "power_down_order",
-    "solve_sequence",
-    "verify_sequence",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "console": ("ConsoleMux", "Uart"),
+    "i2c": ("I2cBus", "I2cDevice", "I2cError", "I2cTiming"),
+    "pmbus": (
+        "Operation", "PmbusCommand", "PmbusFormatError", "StatusBit", "VOUT_MODE_DEFAULT",
+        "linear11_decode", "linear11_encode", "linear16_decode", "linear16_encode",
+    ),
+    "power_manager": (
+        "PRIMARY_DOMAINS", "RailFaultError", "decode_status", "RAIL_ELECTRICAL", "PowerManager",
+        "PowerManagerError",
+    ),
+    "regulators": ("BoardClock", "LoadBook", "PowerRail", "RegulatorParams", "VoltageRegulator"),
+    "sequencing": (
+        "ALL_RAILS", "COMMON_RAILS", "CPU_RAILS", "FPGA_RAILS", "RailRequirement",
+        "SequencingError", "power_down_order", "solve_sequence", "verify_sequence",
+    ),
+    "smbus": ("SmbusController", "SmbusDevice", "SmbusError", "crc8"),
+    "telemetry": ("Phase", "PowerSample", "PowerTrace", "TelemetryService"),
+    "thermal": (
+        "FanController", "ThermalNode", "ThermalParams", "ThermalZone", "enzian_thermal_zone",
+    ),
+})

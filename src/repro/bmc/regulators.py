@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
+from ..params import RegulatorParams
 from .pmbus import (
     VOUT_MODE_DEFAULT,
     Operation,
@@ -81,26 +82,6 @@ class PowerRail:
     def __post_init__(self):
         if self.nominal_v <= 0 or self.max_current_a <= 0:
             raise ValueError(f"rail {self.name}: voltage and current must be positive")
-
-
-@dataclass(frozen=True)
-class RegulatorParams:
-    """Device characteristics."""
-
-    soft_start_ms: float = 5.0
-    efficiency: float = 0.90
-    ambient_c: float = 35.0
-    #: Thermal resistance: degrees C per watt dissipated in the regulator.
-    theta_c_per_w: float = 1.2
-    #: OCP threshold as a multiple of the rail's max current.
-    ocp_multiple: float = 1.25
-    short_circuit_a: float = 180.0
-
-    def __post_init__(self):
-        if not 0 < self.efficiency <= 1:
-            raise ValueError("efficiency must be in (0, 1]")
-        if self.soft_start_ms < 0:
-            raise ValueError("soft_start_ms must be non-negative")
 
 
 class VoltageRegulator(SmbusDevice):

@@ -12,23 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-
-@dataclass(frozen=True)
-class ThermalParams:
-    """First-order thermal model of one component + heatsink."""
-
-    ambient_c: float = 30.0
-    #: Thermal resistance (C/W) at zero airflow.
-    theta_still_c_per_w: float = 0.9
-    #: Reduction of theta at full airflow (fraction of theta_still).
-    airflow_effect: float = 0.7
-    #: Thermal capacitance (J/C): die + heatsink mass.
-    capacitance_j_per_c: float = 220.0
-
-    def theta(self, fan_fraction: float) -> float:
-        if not 0.0 <= fan_fraction <= 1.0:
-            raise ValueError("fan fraction must be in [0, 1]")
-        return self.theta_still_c_per_w * (1.0 - self.airflow_effect * fan_fraction)
+from ..params import ThermalParams
 
 
 class ThermalNode:

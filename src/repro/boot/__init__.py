@@ -1,32 +1,12 @@
 """Boot substrate: BDK diagnostics, firmware chain, device tree, orchestration."""
 
-from .bdk import Bdk, BdkResult, EciLinkState, MemoryFault, SimulatedDram
-from .devicetree import (
-    EnzianTopology,
-    NumaNodeDesc,
-    enzian_topology,
-    parse_numa_nodes,
-    render_dts,
-)
-from .firmware import BootError, BootRecord, BootStage, FirmwareChain, standard_stages
-from .sequence import BootOrchestrator, BootTimeline
+from .._exports import exports
 
-__all__ = [
-    "Bdk",
-    "BdkResult",
-    "BootError",
-    "BootOrchestrator",
-    "BootRecord",
-    "BootStage",
-    "BootTimeline",
-    "EciLinkState",
-    "EnzianTopology",
-    "FirmwareChain",
-    "MemoryFault",
-    "NumaNodeDesc",
-    "SimulatedDram",
-    "enzian_topology",
-    "parse_numa_nodes",
-    "render_dts",
-    "standard_stages",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "bdk": ("Bdk", "BdkResult", "EciLinkState", "MemoryFault", "SimulatedDram"),
+    "devicetree": (
+        "EnzianTopology", "NumaNodeDesc", "enzian_topology", "parse_numa_nodes", "render_dts",
+    ),
+    "firmware": ("BootError", "BootRecord", "BootStage", "FirmwareChain", "standard_stages"),
+    "sequence": ("BootOrchestrator", "BootTimeline"),
+})

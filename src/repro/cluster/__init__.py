@@ -1,35 +1,14 @@
 """Multi-board use-cases (§6): coherence bridging, disaggregated memory."""
 
-from .bridge import (
-    BridgeError,
-    BridgePort,
-    BridgeRouteError,
-    BridgeTopologyError,
-    bridge_domains,
-    bridge_fleet,
-)
-from .disagg import (
-    PAGE_BYTES,
-    ROWS_PER_PAGE,
-    BufferCacheClient,
-    DisaggError,
-    MemoryServer,
-    PushdownResult,
-    traffic_savings,
-)
+from .._exports import exports
 
-__all__ = [
-    "BridgeError",
-    "BridgePort",
-    "BridgeRouteError",
-    "BridgeTopologyError",
-    "BufferCacheClient",
-    "DisaggError",
-    "MemoryServer",
-    "PAGE_BYTES",
-    "PushdownResult",
-    "ROWS_PER_PAGE",
-    "bridge_domains",
-    "bridge_fleet",
-    "traffic_savings",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "bridge": (
+        "BridgeError", "BridgePort", "BridgeRouteError", "BridgeTopologyError", "bridge_domains",
+        "bridge_fleet",
+    ),
+    "disagg": (
+        "PAGE_BYTES", "ROWS_PER_PAGE", "BufferCacheClient", "DisaggError", "MemoryServer",
+        "PushdownResult", "traffic_savings",
+    ),
+})

@@ -11,52 +11,15 @@ same experiment at a different design point" into data, not code.
     print(cfg.describe())
 """
 
-from .schema import ConfigError
-from .sweep import SweepPoint, SweepResult, expand_grid, run_sweep, sweep_table
-from .tree import (
-    AppsConfig,
-    BmcConfig,
-    EciConfig,
-    FaultRecoveryConfig,
-    FaultSpec,
-    FaultsConfig,
-    FleetConfig,
-    FpgaConfig,
-    GatewayConfig,
-    HealthConfig,
-    InterconnectConfig,
-    MemoryConfig,
-    NetConfig,
-    PlatformConfig,
-    RequestClassConfig,
-    TrafficConfig,
-    preset,
-    preset_names,
-)
+from .._exports import exports
 
-__all__ = [
-    "AppsConfig",
-    "BmcConfig",
-    "ConfigError",
-    "EciConfig",
-    "FaultRecoveryConfig",
-    "FaultSpec",
-    "FaultsConfig",
-    "FleetConfig",
-    "FpgaConfig",
-    "GatewayConfig",
-    "HealthConfig",
-    "InterconnectConfig",
-    "MemoryConfig",
-    "NetConfig",
-    "PlatformConfig",
-    "RequestClassConfig",
-    "SweepPoint",
-    "SweepResult",
-    "TrafficConfig",
-    "expand_grid",
-    "preset",
-    "preset_names",
-    "run_sweep",
-    "sweep_table",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "schema": ("ConfigError",),
+    "sweep": ("SweepPoint", "SweepResult", "expand_grid", "run_sweep", "sweep_table"),
+    "tree": (
+        "AppsConfig", "BmcConfig", "EciConfig", "FaultRecoveryConfig", "FaultSpec", "FaultsConfig",
+        "FleetConfig", "FpgaConfig", "GatewayConfig", "HealthConfig", "InterconnectConfig",
+        "MemoryConfig", "NetConfig", "PlatformConfig", "RequestClassConfig", "TrafficConfig",
+        "preset", "preset_names",
+    ),
+})

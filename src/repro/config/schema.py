@@ -101,9 +101,14 @@ def _decode_value(hint: Any, value: Any, path: str) -> Any:
     if hint is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(path, f"expected a number, got {value!r}")
-        if not math.isfinite(value):
+        try:
+            number = float(value)
+        except OverflowError as exc:
+            # No repr: past the int digit limit, repr() itself raises.
+            raise ConfigError(path, "expected a finite number, got an integer too large") from exc
+        if not math.isfinite(number):
             raise ConfigError(path, f"expected a finite number, got {value!r}")
-        return float(value)
+        return number
     if hint is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(path, f"expected an integer, got {value!r}")

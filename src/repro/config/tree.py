@@ -31,21 +31,25 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Tuple
 
-from ..apps.kvs import KvsPerformanceParams
-from ..apps.stress import CpuLoadLevels
-from ..bmc.regulators import RegulatorParams
-from ..bmc.thermal import ThermalParams
-from ..cpu.thunderx import ThunderXSpec
-from ..eci.link import EciLinkParams
-from ..eci.transfer import TransferEngineParams
 from ..faults.plan import FaultRecoveryConfig, FaultsConfig, FaultSpec
 from ..fleet.config import FleetConfig
-from ..fpga.fabric import FpgaPowerParams
 from ..health.config import HealthConfig
-from ..interconnect.pcie import PcieParams
-from ..memory.dram import DdrChannelParams, DramConfig
-from ..net.rdma import RdmaPathParams
-from ..net.tcp import FpgaTcpParams, LinuxTcpParams
+from ..params import (
+    CpuLoadLevels,
+    DdrChannelParams,
+    DramConfig,
+    EciLinkParams,
+    FpgaPowerParams,
+    FpgaTcpParams,
+    KvsPerformanceParams,
+    LinuxTcpParams,
+    PcieParams,
+    RdmaPathParams,
+    RegulatorParams,
+    ThermalParams,
+    ThunderXSpec,
+    TransferEngineParams,
+)
 from ..traffic.config import GatewayConfig, RequestClassConfig, TrafficConfig
 from .schema import (
     ConfigError,
@@ -226,7 +230,7 @@ class PlatformConfig:
     def from_json(cls, text: str) -> "PlatformConfig":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
             raise ConfigError("", f"invalid JSON: {exc}") from exc
         return cls.from_dict(data)
 

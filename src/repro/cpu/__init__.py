@@ -1,25 +1,11 @@
 """CPU-side models: caches, cores, PMU, and the ThunderX-1 SoC."""
 
-from .caches import CacheGeometry, SetAssociativeCache
-from .core import CoreParams, ExecutionResult, InOrderCore, WorkloadSlice
-from .matchaction import Action, Match, MatchActionTable, Rule, Verdict
-from .pmu import PmuCounters, PmuReport
-from .thunderx import ThunderXSoC, ThunderXSpec
+from .._exports import exports
 
-__all__ = [
-    "Action",
-    "CacheGeometry",
-    "Match",
-    "MatchActionTable",
-    "Rule",
-    "Verdict",
-    "CoreParams",
-    "ExecutionResult",
-    "InOrderCore",
-    "PmuCounters",
-    "PmuReport",
-    "SetAssociativeCache",
-    "ThunderXSoC",
-    "ThunderXSpec",
-    "WorkloadSlice",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "caches": ("CacheGeometry", "SetAssociativeCache"),
+    "core": ("CoreParams", "ExecutionResult", "InOrderCore", "WorkloadSlice"),
+    "matchaction": ("Action", "Match", "MatchActionTable", "Rule", "Verdict"),
+    "pmu": ("PmuCounters", "PmuReport"),
+    "thunderx": ("ThunderXSoC", "ThunderXSpec"),
+})

@@ -9,30 +9,9 @@ address-only (no data): coherent data movement is the job of
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Dict
 
-
-@dataclass(frozen=True)
-class CacheGeometry:
-    """Size/associativity/line-size of one cache level."""
-
-    size_bytes: int
-    ways: int
-    line_bytes: int = 128
-
-    def __post_init__(self):
-        if self.size_bytes <= 0 or self.ways <= 0 or self.line_bytes <= 0:
-            raise ValueError("cache geometry must be positive")
-        if self.size_bytes % (self.ways * self.line_bytes) != 0:
-            raise ValueError(
-                f"size {self.size_bytes} not divisible into {self.ways} ways "
-                f"of {self.line_bytes}-byte lines"
-            )
-
-    @property
-    def sets(self) -> int:
-        return self.size_bytes // (self.ways * self.line_bytes)
+from ..params import CacheGeometry
 
 
 class SetAssociativeCache:

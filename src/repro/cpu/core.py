@@ -11,27 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..params import CoreParams
 from .pmu import PmuCounters
-
-
-@dataclass(frozen=True)
-class CoreParams:
-    """One ARMv8 in-order core."""
-
-    freq_ghz: float = 2.0
-    ipc_peak: float = 1.6          # dual-issue, realistically achieved
-    l1_hit_cycles: int = 3
-    l2_hit_cycles: int = 40
-    local_dram_cycles: int = 180
-    remote_refill_cycles: int = 420  # NUMA-remote (across ECI/CCPI)
-
-    def __post_init__(self):
-        if self.freq_ghz <= 0 or self.ipc_peak <= 0:
-            raise ValueError("frequency and IPC must be positive")
-
-    @property
-    def cycle_ns(self) -> float:
-        return 1.0 / self.freq_ghz
 
 
 @dataclass(frozen=True)

@@ -8,31 +8,11 @@ match-action switch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
 from ..memory.dram import DramConfig, enzian_cpu_dram
-from .caches import CacheGeometry
-from .core import CoreParams, InOrderCore
-
-
-@dataclass(frozen=True)
-class ThunderXSpec:
-    """Static configuration of the SoC."""
-
-    n_cores: int = 48
-    core: CoreParams = CoreParams(freq_ghz=2.0)
-    l1i: CacheGeometry = CacheGeometry(size_bytes=78 * 1024, ways=39, line_bytes=128)
-    l1d: CacheGeometry = CacheGeometry(size_bytes=32 * 1024, ways=32, line_bytes=128)
-    l2: CacheGeometry = CacheGeometry(size_bytes=16 * 1024 * 1024, ways=16, line_bytes=128)
-    nic_ports_40g: int = 2
-    sata_ports: int = 4
-    has_match_action_switch: bool = True  # 'networking' CN88xx variant
-    on_die_accelerators: tuple = ("crypto", "compression", "nic")
-
-    @property
-    def aggregate_ghz(self) -> float:
-        return self.n_cores * self.core.freq_ghz
+from ..params import ThunderXSpec
+from .core import InOrderCore
 
 
 class ThunderXSoC:

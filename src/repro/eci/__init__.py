@@ -9,89 +9,28 @@ Public surface:
 * the physical link and bulk-transfer models (:mod:`.link`, :mod:`.transfer`)
 """
 
-from .messages import (
-    CACHE_LINE_BYTES,
-    HEADER_BYTES,
-    Message,
-    MessageType,
-    VirtualCircuit,
-    line_address,
-    vc_for,
-)
-from .serialization import (
-    SerializationError,
-    decode,
-    decode_stream,
-    encode,
-    encode_stream,
-)
-from .protocol import (
-    CacheAgent,
-    CacheState,
-    HomeAgent,
-    InstantTransport,
-    LineStore,
-    ProtocolError,
-    Transport,
-)
-from .spec import (
-    ALLOWED_TRANSITIONS,
-    CoherenceChecker,
-    InvariantViolation,
-    MessageRuleChecker,
-    transition_allowed,
-)
-from .analysis import Transaction, TransactionAnalyzer
-from .cosim import CosimCoordinator, CosimError, CosimSide
-from .trace import TraceRecord, TraceRecorder
-from .link import EciLinkParams, EciLinkTransport
-from .transfer import (
-    TransferEngineParams,
-    TransferResult,
-    dual_socket_reference,
-    dual_socket_reference_bandwidth_gibps,
-    simulate_transfer,
-    sweep_transfer_sizes,
-)
+from .._exports import exports
 
-__all__ = [
-    "ALLOWED_TRANSITIONS",
-    "CACHE_LINE_BYTES",
-    "CacheAgent",
-    "CacheState",
-    "CoherenceChecker",
-    "CosimCoordinator",
-    "CosimError",
-    "CosimSide",
-    "EciLinkParams",
-    "EciLinkTransport",
-    "HEADER_BYTES",
-    "HomeAgent",
-    "InstantTransport",
-    "InvariantViolation",
-    "LineStore",
-    "Message",
-    "MessageRuleChecker",
-    "MessageType",
-    "ProtocolError",
-    "SerializationError",
-    "TraceRecord",
-    "Transaction",
-    "TransactionAnalyzer",
-    "TraceRecorder",
-    "TransferEngineParams",
-    "TransferResult",
-    "Transport",
-    "VirtualCircuit",
-    "decode",
-    "decode_stream",
-    "dual_socket_reference",
-    "dual_socket_reference_bandwidth_gibps",
-    "encode",
-    "encode_stream",
-    "line_address",
-    "simulate_transfer",
-    "sweep_transfer_sizes",
-    "transition_allowed",
-    "vc_for",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "messages": (
+        "CACHE_LINE_BYTES", "HEADER_BYTES", "Message", "MessageType", "VirtualCircuit",
+        "line_address", "vc_for",
+    ),
+    "serialization": ("SerializationError", "decode", "decode_stream", "encode", "encode_stream"),
+    "protocol": (
+        "CacheAgent", "CacheState", "HomeAgent", "InstantTransport", "LineStore", "ProtocolError",
+        "Transport",
+    ),
+    "spec": (
+        "ALLOWED_TRANSITIONS", "CoherenceChecker", "InvariantViolation", "MessageRuleChecker",
+        "transition_allowed",
+    ),
+    "analysis": ("Transaction", "TransactionAnalyzer"),
+    "cosim": ("CosimCoordinator", "CosimError", "CosimSide"),
+    "trace": ("TraceRecord", "TraceRecorder"),
+    "link": ("EciLinkParams", "EciLinkTransport"),
+    "transfer": (
+        "TransferEngineParams", "TransferResult", "dual_socket_reference",
+        "dual_socket_reference_bandwidth_gibps", "simulate_transfer", "sweep_transfer_sizes",
+    ),
+})

@@ -15,64 +15,13 @@ full 24", §4.4) via ``lanes_per_link`` and ``links``.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Deque, Dict, Optional, Tuple
 
+from ..params import EciLinkParams
 from ..sim import Kernel
 from ..sim.units import gbps_to_bytes_per_ns
 from .messages import Message, VirtualCircuit, line_address
 from .protocol import Transport
-
-
-@dataclass
-class EciLinkParams:
-    """Physical parameters of the ECI interconnect."""
-
-    links: int = 2
-    lanes_per_link: int = 12
-    lane_gbps: float = 10.0
-    encoding_efficiency: float = 0.96  # 64b/66b line coding + framing
-    propagation_ns: float = 40.0       # serdes, wire, deskew
-    policy: str = "address"            # 'address' | 'round_robin' | 'fixed'
-    fixed_link: int = 0
-    #: Credits per (link, destination, VC); 0 disables flow control.
-    credits_per_vc: int = 0
-    #: Receiver-side buffer drain time per message (credit return delay).
-    credit_return_ns: float = 20.0
-    #: Time a link spends retraining after a lane change (§4.4 bring-up).
-    retrain_ns: float = 5_000.0
-    #: Go-back retransmit attempts per message before it is declared lost.
-    crc_retry_limit: int = 8
-
-    def __post_init__(self):
-        if self.links < 1:
-            raise ValueError("need at least one link")
-        if self.lanes_per_link < 1:
-            raise ValueError("need at least one lane per link")
-        if not 0 < self.encoding_efficiency <= 1:
-            raise ValueError("encoding_efficiency must be in (0, 1]")
-        if self.policy not in ("address", "round_robin", "fixed"):
-            raise ValueError(f"unknown policy {self.policy!r}")
-        if not 0 <= self.fixed_link < self.links:
-            raise ValueError(
-                f"fixed_link must be in 0..{self.links - 1}, got {self.fixed_link}"
-            )
-        if self.credits_per_vc < 0:
-            raise ValueError("credits_per_vc must be non-negative")
-        if self.retrain_ns < 0:
-            raise ValueError("retrain_ns must be non-negative")
-        if self.crc_retry_limit < 0:
-            raise ValueError("crc_retry_limit must be non-negative")
-
-    @property
-    def link_rate_bytes_per_ns(self) -> float:
-        """Effective per-link serialization rate."""
-        raw = gbps_to_bytes_per_ns(self.lane_gbps * self.lanes_per_link)
-        return raw * self.encoding_efficiency
-
-    @property
-    def total_rate_bytes_per_ns(self) -> float:
-        return self.link_rate_bytes_per_ns * self.links
 
 
 class EciLinkTransport(Transport):

@@ -28,32 +28,9 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
+from ..params import EciLinkParams, TransferEngineParams
 from ..sim.units import GIB
-from .link import EciLinkParams
 from .messages import CACHE_LINE_BYTES, HEADER_BYTES
-
-
-@dataclass(frozen=True)
-class TransferEngineParams:
-    """Timing of the endpoints around the raw link."""
-
-    #: FPGA-side request issue/processing latency per transaction (ns).
-    #: Dominated by the ECI controller pipeline at 200-300 MHz.
-    fpga_issue_ns: float = 170.0
-    #: CPU-side L2 subsystem lookup latency for the first access (ns).
-    l2_latency_ns: float = 230.0
-    #: L2 subsystem per-line occupancy: reads must fetch data.
-    l2_occupancy_read_ns: float = 13.5
-    #: L2 per-line occupancy for writes (deposit into write buffer).
-    l2_occupancy_write_ns: float = 5.5
-    #: FPGA-side completion handling per line (ns).
-    fpga_complete_ns: float = 90.0
-    #: Maximum outstanding line transactions.
-    window: int = 64
-
-    def __post_init__(self):
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -5,27 +5,16 @@ describes *what goes wrong and when*; a :class:`FaultInjector` arms it
 onto live subsystems; :mod:`repro.faults.soak` runs seeded fault storms
 against whole machines and checks the recovery invariants.
 
-``soak`` is deliberately not imported here: it pulls in the platform
-layer, which imports the config tree, which imports this package.
-Import it explicitly as ``repro.faults.soak``.
+``soak`` exports nothing here: it pulls in the platform layer.  Import
+it explicitly as ``repro.faults.soak``.
 """
 
-from .inject import FaultInjector
-from .plan import (
-    BOARD_CLOCK_SITES,
-    SITE_KINDS,
-    FaultRecoveryConfig,
-    FaultSpec,
-    FaultsConfig,
-    parse_partition_groups,
-)
+from .._exports import exports
 
-__all__ = [
-    "BOARD_CLOCK_SITES",
-    "FaultInjector",
-    "FaultRecoveryConfig",
-    "FaultSpec",
-    "FaultsConfig",
-    "SITE_KINDS",
-    "parse_partition_groups",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "inject": ("FaultInjector",),
+    "plan": (
+        "BOARD_CLOCK_SITES", "SITE_KINDS", "FaultRecoveryConfig", "FaultSpec", "FaultsConfig",
+        "parse_partition_groups",
+    ),
+})

@@ -9,60 +9,18 @@ store with configurable replication, timeout-driven failover, and
 rack-level latency rollups.
 """
 
-from .antientropy import (
-    AntiEntropyError,
-    AntiEntropyScheduler,
-    MerkleTree,
-    replica_divergence,
-)
-from .audit import (
-    AuditError,
-    HistoryOp,
-    HistoryRecorder,
-    assert_linearizable,
-    check_history,
-)
-from .config import AntiEntropyConfig, FleetConfig
-from .errors import FleetError
-from .kvs import (
-    FleetKvsClient,
-    FleetKvsError,
-    KvsRequest,
-    KvsRequestAborted,
-    KvsResponse,
-    KvsShardServer,
-)
-from .placement import HashRing, PlacementError, key_hash, moved_keys
-from .rack import Rack, RackError, RackMachine
-from .rollup import FleetRollup, MergedSeries, merge_histograms
+from .._exports import exports
 
-__all__ = [
-    "AntiEntropyConfig",
-    "AntiEntropyError",
-    "AntiEntropyScheduler",
-    "AuditError",
-    "FleetConfig",
-    "MerkleTree",
-    "FleetError",
-    "FleetKvsClient",
-    "FleetKvsError",
-    "FleetRollup",
-    "HashRing",
-    "HistoryOp",
-    "HistoryRecorder",
-    "KvsRequest",
-    "KvsRequestAborted",
-    "KvsResponse",
-    "KvsShardServer",
-    "MergedSeries",
-    "PlacementError",
-    "Rack",
-    "RackError",
-    "RackMachine",
-    "assert_linearizable",
-    "check_history",
-    "key_hash",
-    "merge_histograms",
-    "moved_keys",
-    "replica_divergence",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "antientropy": ("AntiEntropyError", "AntiEntropyScheduler", "MerkleTree", "replica_divergence"),
+    "audit": ("AuditError", "HistoryOp", "HistoryRecorder", "assert_linearizable", "check_history"),
+    "config": ("AntiEntropyConfig", "FleetConfig"),
+    "errors": ("FleetError",),
+    "kvs": (
+        "FleetKvsClient", "FleetKvsError", "KvsRequest", "KvsRequestAborted", "KvsResponse",
+        "KvsShardServer",
+    ),
+    "placement": ("HashRing", "PlacementError", "key_hash", "moved_keys"),
+    "rack": ("Rack", "RackError", "RackMachine"),
+    "rollup": ("FleetRollup", "MergedSeries", "merge_histograms"),
+})

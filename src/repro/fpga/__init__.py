@@ -1,43 +1,12 @@
 """FPGA-side models: fabric, bitstreams, the Coyote shell, and AFUs."""
 
-from .afu import Afu
-from .scheduler import ScheduledApp, SchedulerError, TemporalScheduler
-from .bitstream import Bitstream, ConfigPort, eci_shell_bitstream
-from .dma import CacheLineDma, DmaDescriptor, DmaError
-from .fabric import (
-    XCVU9P,
-    Fabric,
-    FabricError,
-    FabricResources,
-    FpgaPowerParams,
-)
-from .shell import (
-    PAGE_BYTES,
-    CoyoteShell,
-    ShellError,
-    TranslationFault,
-    VirtualFpga,
-)
+from .._exports import exports
 
-__all__ = [
-    "Afu",
-    "Bitstream",
-    "CacheLineDma",
-    "DmaDescriptor",
-    "DmaError",
-    "ConfigPort",
-    "CoyoteShell",
-    "Fabric",
-    "FabricError",
-    "FabricResources",
-    "FpgaPowerParams",
-    "PAGE_BYTES",
-    "ScheduledApp",
-    "SchedulerError",
-    "TemporalScheduler",
-    "ShellError",
-    "TranslationFault",
-    "VirtualFpga",
-    "XCVU9P",
-    "eci_shell_bitstream",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "afu": ("Afu",),
+    "scheduler": ("ScheduledApp", "SchedulerError", "TemporalScheduler"),
+    "bitstream": ("Bitstream", "ConfigPort", "eci_shell_bitstream"),
+    "dma": ("CacheLineDma", "DmaDescriptor", "DmaError"),
+    "fabric": ("XCVU9P", "Fabric", "FabricError", "FabricResources", "FpgaPowerParams"),
+    "shell": ("PAGE_BYTES", "CoyoteShell", "ShellError", "TranslationFault", "VirtualFpga"),
+})

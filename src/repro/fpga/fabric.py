@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
+from ..params import FpgaPowerParams
+
 
 @dataclass(frozen=True)
 class FabricResources:
@@ -84,20 +86,6 @@ class Region:
     def __post_init__(self):
         if not 0.0 <= self.toggle_rate <= 1.0:
             raise ValueError("toggle_rate must be in [0, 1]")
-
-
-@dataclass(frozen=True)
-class FpgaPowerParams:
-    """First-order FPGA power model.
-
-    Dynamic power scales with utilized area, clock frequency, and toggle
-    rate; static power is leakage for the whole die.
-    """
-
-    static_w: float = 18.0
-    #: Dynamic watts at 100% area, 100% toggle, 250 MHz.
-    dynamic_full_w: float = 160.0
-    reference_mhz: float = 250.0
 
 
 class Fabric:

@@ -14,34 +14,16 @@ switches the layer on and seeds its backoff jitter; a
 a build without this package.
 """
 
-from .breaker import BreakerState, CircuitBreaker, CircuitOpenError
-from .config import HealthConfig
-from .orchestrator import RecoveryOrchestrator
-from .policy import EciDegradationPolicy, PowerDegradationPolicy
-from .state import (
-    LEGAL_TRANSITIONS,
-    STATE_SEVERITY,
-    HealthError,
-    HealthState,
-    HealthStateMachine,
-)
-from .supervisor import HealthSupervisor
-from .watchdog import Watchdog, WatchdogHandle
+from .._exports import exports
 
-__all__ = [
-    "BreakerState",
-    "CircuitBreaker",
-    "CircuitOpenError",
-    "EciDegradationPolicy",
-    "HealthConfig",
-    "HealthError",
-    "HealthState",
-    "HealthStateMachine",
-    "HealthSupervisor",
-    "LEGAL_TRANSITIONS",
-    "PowerDegradationPolicy",
-    "RecoveryOrchestrator",
-    "STATE_SEVERITY",
-    "Watchdog",
-    "WatchdogHandle",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "breaker": ("BreakerState", "CircuitBreaker", "CircuitOpenError"),
+    "config": ("HealthConfig",),
+    "orchestrator": ("RecoveryOrchestrator",),
+    "policy": ("EciDegradationPolicy", "PowerDegradationPolicy"),
+    "state": (
+        "LEGAL_TRANSITIONS", "STATE_SEVERITY", "HealthError", "HealthState", "HealthStateMachine",
+    ),
+    "supervisor": ("HealthSupervisor",),
+    "watchdog": ("Watchdog", "WatchdogHandle"),
+})

@@ -15,6 +15,7 @@ exactly as deterministic as the simulation driving it.
 from __future__ import annotations
 
 import enum
+import math
 from typing import Callable, List, Tuple
 
 
@@ -40,17 +41,17 @@ class CircuitBreaker:
         self,
         name: str,
         clock: Callable[[], float],
-        failure_threshold: int = 3,
-        reset_ns: float = 10_000_000.0,
-        half_open_probes: int = 1,
+        failure_threshold: int,
+        reset_ns: float,
+        half_open_probes: int,
         obs=None,
     ):
         from ..obs import NULL_REGISTRY
 
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
-        if reset_ns <= 0:
-            raise ValueError("reset_ns must be positive")
+        if not 0 < reset_ns < math.inf:
+            raise ValueError(f"reset_ns must be positive and finite, got {reset_ns}")
         if half_open_probes < 1:
             raise ValueError("half_open_probes must be >= 1")
         self.name = name

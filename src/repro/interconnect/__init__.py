@@ -1,25 +1,13 @@
 """Interconnect performance models: PCIe, ECI, and platform presets."""
 
-from .base import InterconnectModel, TransferPoint
-from .eci_adapter import EciModel
-from .pcie import PcieModel, PcieParams, alveo_u250_pcie, crossover_size_bytes
-from .presets import (
-    PlatformSpec,
-    dual_socket_thunderx_reference,
-    enzian_covers_survey,
-    survey_platforms,
-)
+from .._exports import exports
 
-__all__ = [
-    "EciModel",
-    "InterconnectModel",
-    "PcieModel",
-    "PcieParams",
-    "PlatformSpec",
-    "TransferPoint",
-    "alveo_u250_pcie",
-    "crossover_size_bytes",
-    "dual_socket_thunderx_reference",
-    "enzian_covers_survey",
-    "survey_platforms",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "base": ("InterconnectModel", "TransferPoint"),
+    "eci_adapter": ("EciModel",),
+    "pcie": ("PcieModel", "PcieParams", "alveo_u250_pcie", "crossover_size_bytes"),
+    "presets": (
+        "PlatformSpec", "dual_socket_thunderx_reference", "enzian_covers_survey",
+        "survey_platforms",
+    ),
+})

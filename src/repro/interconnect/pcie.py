@@ -17,57 +17,8 @@ the sub-4-KiB range where ECI's per-cacheline pipelining wins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ..sim.units import gbps_to_bytes_per_ns
+from ..params import PcieParams
 from .base import InterconnectModel
-
-#: Per-lane effective data rate in Gb/s after line coding, per generation.
-_GEN_LANE_GBPS = {
-    1: 2.5 * 8 / 10,     # 8b/10b
-    2: 5.0 * 8 / 10,     # 8b/10b
-    3: 8.0 * 128 / 130,  # 128b/130b
-    4: 16.0 * 128 / 130,
-    5: 32.0 * 128 / 130,
-}
-
-
-@dataclass(frozen=True)
-class PcieParams:
-    """Configuration of a PCIe attachment."""
-
-    generation: int = 3
-    lanes: int = 16
-    #: Maximum payload size per TLP (bytes); 256 is the common setting.
-    max_payload: int = 256
-    #: TLP header + DLLP/framing overhead per TLP (bytes).
-    tlp_overhead: int = 26
-    #: One-time DMA setup: doorbell write + descriptor fetch (ns).
-    dma_setup_ns: float = 900.0
-    #: Completion/interrupt signalling after the last TLP (ns).
-    dma_complete_ns: float = 350.0
-    #: Payload-independent per-TLP pipeline cost in the DMA engine (ns).
-    per_tlp_ns: float = 9.0
-
-    def __post_init__(self):
-        if self.generation not in _GEN_LANE_GBPS:
-            raise ValueError(f"unsupported PCIe generation {self.generation}")
-        if self.lanes not in (1, 2, 4, 8, 16):
-            raise ValueError(f"invalid lane count {self.lanes}")
-        if self.max_payload < 64:
-            raise ValueError("max_payload must be >= 64")
-
-    @property
-    def raw_rate_bytes_per_ns(self) -> float:
-        return gbps_to_bytes_per_ns(_GEN_LANE_GBPS[self.generation] * self.lanes)
-
-    @property
-    def framing_efficiency(self) -> float:
-        return self.max_payload / (self.max_payload + self.tlp_overhead)
-
-    @property
-    def effective_rate_bytes_per_ns(self) -> float:
-        return self.raw_rate_bytes_per_ns * self.framing_efficiency
 
 
 class PcieModel(InterconnectModel):

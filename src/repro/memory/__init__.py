@@ -1,29 +1,11 @@
 """Memory substrate: address partitioning and DDR4 models."""
 
-from .address_space import (
-    CPU_NODE,
-    FPGA_NODE,
-    AddressSpaceError,
-    PhysicalAddressSpace,
-    Region,
-    enzian_address_map,
-)
-from .dram import (
-    DdrChannelParams,
-    DramConfig,
-    enzian_cpu_dram,
-    enzian_fpga_dram,
-)
+from .._exports import exports
 
-__all__ = [
-    "AddressSpaceError",
-    "CPU_NODE",
-    "DdrChannelParams",
-    "DramConfig",
-    "FPGA_NODE",
-    "PhysicalAddressSpace",
-    "Region",
-    "enzian_address_map",
-    "enzian_cpu_dram",
-    "enzian_fpga_dram",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "address_space": (
+        "CPU_NODE", "FPGA_NODE", "AddressSpaceError", "PhysicalAddressSpace", "Region",
+        "enzian_address_map",
+    ),
+    "dram": ("DdrChannelParams", "DramConfig", "enzian_cpu_dram", "enzian_fpga_dram"),
+})

@@ -1,4 +1,4 @@
-"""DDR4 DRAM channel and configuration models.
+"""Enzian's DDR4 memory systems (the channel model is in :mod:`repro.params`).
 
 Enzian has four DDR4-2133 channels on the CPU (128 GiB) and four
 DDR4-2400 channels on the FPGA (512 GiB in the systems the paper
@@ -8,78 +8,7 @@ design principle (§3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ..sim.units import GIB
-
-
-@dataclass(frozen=True)
-class DdrChannelParams:
-    """One DDR4 channel."""
-
-    speed_mt: int = 2133          # mega-transfers per second
-    width_bits: int = 64
-    dimm_gib: int = 32
-    #: CAS latency + controller pipeline, first-word (ns).
-    access_latency_ns: float = 60.0
-    #: Fraction of peak usable under realistic access streams
-    #: (bank conflicts, refresh, turnarounds).
-    efficiency: float = 0.80
-
-    def __post_init__(self):
-        if self.speed_mt <= 0 or self.width_bits <= 0 or self.dimm_gib <= 0:
-            raise ValueError("DDR parameters must be positive")
-        if not 0 < self.efficiency <= 1:
-            raise ValueError("efficiency must be in (0, 1]")
-
-    @property
-    def peak_bytes_per_ns(self) -> float:
-        return self.speed_mt * 1e6 * (self.width_bits // 8) / 1e9
-
-    @property
-    def sustained_bytes_per_ns(self) -> float:
-        return self.peak_bytes_per_ns * self.efficiency
-
-    @property
-    def peak_gibps(self) -> float:
-        return self.peak_bytes_per_ns * 1e9 / GIB
-
-
-@dataclass(frozen=True)
-class DramConfig:
-    """A node's memory system: N identical channels."""
-
-    channels: int = 4
-    channel: DdrChannelParams = DdrChannelParams()
-
-    def __post_init__(self):
-        if self.channels < 1:
-            raise ValueError("need at least one channel")
-
-    @property
-    def capacity_gib(self) -> int:
-        return self.channels * self.channel.dimm_gib
-
-    @property
-    def peak_bandwidth_gibps(self) -> float:
-        return self.channels * self.channel.peak_gibps
-
-    @property
-    def sustained_bandwidth_gibps(self) -> float:
-        return self.peak_bandwidth_gibps * self.channel.efficiency
-
-    @property
-    def sustained_bytes_per_ns(self) -> float:
-        return self.channels * self.channel.sustained_bytes_per_ns
-
-    def burst_latency_ns(self, size_bytes: int) -> float:
-        """First access latency plus streaming time, channel-interleaved."""
-        if size_bytes < 1:
-            raise ValueError("size must be positive")
-        return (
-            self.channel.access_latency_ns
-            + size_bytes / self.sustained_bytes_per_ns
-        )
+from ..params import DdrChannelParams, DramConfig
 
 
 def enzian_cpu_dram() -> DramConfig:

@@ -1,52 +1,17 @@
 """Network substrate: Ethernet, reliable transport, TCP models, RDMA."""
 
-from .ethernet import ETH_OVERHEAD_BYTES, EthernetLink, Frame, LinkAttachError
-from .iperf import IperfResult, run_iperf, sweep_window
-from .reliable import ReliableReceiver, ReliableSender, Segment, TransferAborted
-from .rdma import (
-    QueuePair,
-    RdmaError,
-    RdmaOp,
-    RdmaPathParams,
-    RdmaPerformanceModel,
-    RdmaTarget,
-    figure8_paths,
-)
-from .switch import Switch, SwitchPortError, star_topology, two_hosts_via_switch
-from .tcp import (
-    FpgaTcpParams,
-    FpgaTcpStack,
-    LinuxTcpParams,
-    LinuxTcpStack,
-    flows_to_saturate,
-)
+from .._exports import exports
 
-__all__ = [
-    "ETH_OVERHEAD_BYTES",
-    "EthernetLink",
-    "FpgaTcpParams",
-    "FpgaTcpStack",
-    "Frame",
-    "IperfResult",
-    "LinkAttachError",
-    "LinuxTcpParams",
-    "LinuxTcpStack",
-    "QueuePair",
-    "RdmaError",
-    "RdmaOp",
-    "RdmaPathParams",
-    "RdmaPerformanceModel",
-    "RdmaTarget",
-    "ReliableReceiver",
-    "ReliableSender",
-    "Segment",
-    "TransferAborted",
-    "Switch",
-    "SwitchPortError",
-    "figure8_paths",
-    "flows_to_saturate",
-    "run_iperf",
-    "star_topology",
-    "sweep_window",
-    "two_hosts_via_switch",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "ethernet": ("ETH_OVERHEAD_BYTES", "EthernetLink", "Frame", "LinkAttachError"),
+    "iperf": ("IperfResult", "run_iperf", "sweep_window"),
+    "reliable": ("ReliableReceiver", "ReliableSender", "Segment", "TransferAborted"),
+    "rdma": (
+        "QueuePair", "RdmaError", "RdmaOp", "RdmaPathParams", "RdmaPerformanceModel", "RdmaTarget",
+        "figure8_paths",
+    ),
+    "switch": ("Switch", "SwitchPortError", "star_topology", "two_hosts_via_switch"),
+    "tcp": (
+        "FpgaTcpParams", "FpgaTcpStack", "LinuxTcpParams", "LinuxTcpStack", "flows_to_saturate",
+    ),
+})

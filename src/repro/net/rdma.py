@@ -21,6 +21,7 @@ from typing import Dict, Optional
 from ..eci.transfer import simulate_transfer
 from ..interconnect.pcie import PcieModel, PcieParams
 from ..memory.dram import DramConfig, enzian_fpga_dram
+from ..params import RdmaPathParams
 from ..sim.units import GIB, gbps_to_bytes_per_ns
 
 
@@ -131,17 +132,6 @@ class QueuePair:
 
 
 # -- performance model ---------------------------------------------------
-
-@dataclass(frozen=True)
-class RdmaPathParams:
-    """One platform configuration of Figure 8."""
-
-    name: str
-    link_gbps: float = 100.0
-    nic_pipeline_ns: float = 900.0      # FPGA/NIC RDMA engine traversal
-    network_ns: float = 1_000.0         # wire + switch, one way
-    memory_kind: str = "local_dram"     # 'local_dram' | 'eci_host' | 'pcie_host'
-
 
 class RdmaPerformanceModel:
     """Latency/throughput of one-sided ops for one platform path."""

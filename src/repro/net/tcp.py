@@ -15,44 +15,10 @@ compared:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ..params import FpgaTcpParams, LinuxTcpParams
 from ..sim.units import gbps_to_bytes_per_ns
 
 HEADERS_BYTES = 78  # Ethernet + IP + TCP + framing overhead per packet
-
-
-@dataclass(frozen=True)
-class FpgaTcpParams:
-    """The single-pipeline hardware stack."""
-
-    link_gbps: float = 100.0
-    clock_mhz: float = 300.0
-    #: Pipeline width: bytes of payload processed per clock.
-    bytes_per_cycle: int = 64
-    #: Fixed per-packet pipeline occupancy (cycles): header parse, state
-    #: lookup, checksum finalization.
-    cycles_per_packet: int = 15
-    #: One-way wire+switch latency, ns.
-    network_latency_ns: float = 1_000.0
-    #: Fixed stack traversal latency per direction, ns.
-    stack_latency_ns: float = 2_500.0
-
-
-@dataclass(frozen=True)
-class LinuxTcpParams:
-    """The kernel stack on a fast Xeon (Gold 6248 class)."""
-
-    link_gbps: float = 100.0
-    #: Per-byte CPU cost on one core: copies, checksum, skb handling.
-    #: ~2.9 GB/s effective per core -> needs ~4 flows for 100 Gb/s.
-    core_bytes_per_ns: float = 3.6
-    #: Per-packet kernel cost (syscall amortization, interrupts), ns.
-    packet_cost_ns: float = 100.0
-    mtu: int = 1500
-    network_latency_ns: float = 1_000.0
-    #: Kernel traversal (syscall, softirq, scheduling) per direction, ns.
-    stack_latency_ns: float = 25_000.0
 
 
 class FpgaTcpStack:

@@ -16,46 +16,15 @@ Components not given a registry default to :data:`NULL_REGISTRY` and
 pay (at most) one truthiness check per operation.
 """
 
-from .export import (
-    component_of,
-    component_summary,
-    events_jsonl,
-    parse_jsonl,
-    prometheus_text,
-    snapshot_jsonl,
-    summary_table,
-)
-from .metrics import (
-    NULL_INSTRUMENT,
-    NULL_REGISTRY,
-    Counter,
-    Family,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullRegistry,
-    ObsError,
-    ObsEvent,
-    labels_key,
-)
+from .._exports import exports
 
-__all__ = [
-    "Counter",
-    "Family",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NullRegistry",
-    "NULL_INSTRUMENT",
-    "NULL_REGISTRY",
-    "ObsError",
-    "ObsEvent",
-    "component_of",
-    "component_summary",
-    "events_jsonl",
-    "labels_key",
-    "parse_jsonl",
-    "prometheus_text",
-    "snapshot_jsonl",
-    "summary_table",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "export": (
+        "component_of", "component_summary", "events_jsonl", "parse_jsonl", "prometheus_text",
+        "snapshot_jsonl", "summary_table",
+    ),
+    "metrics": (
+        "NULL_INSTRUMENT", "NULL_REGISTRY", "Counter", "Family", "Gauge", "Histogram",
+        "MetricsRegistry", "NullRegistry", "ObsError", "ObsEvent", "labels_key",
+    ),
+})

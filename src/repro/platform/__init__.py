@@ -1,5 +1,7 @@
 """Platform assembly: the complete Enzian machine."""
 
-from .enzian import EnzianMachine, figure12_phases, run_figure12
+from .._exports import exports
 
-__all__ = ["EnzianMachine", "figure12_phases", "run_figure12"]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "enzian": ("EnzianMachine", "figure12_phases", "run_figure12"),
+})

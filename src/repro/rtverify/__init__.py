@@ -1,34 +1,11 @@
 """Runtime verification on the FPGA (§6): past-time LTL monitors."""
 
-from .logic import (
-    And,
-    Atom,
-    Formula,
-    Historically,
-    Not,
-    Once,
-    Or,
-    Since,
-    Yesterday,
-    atom,
-    evaluate_trace,
-)
-from .monitor import Monitor, TraceUnit, check_response, estimate_resources
+from .._exports import exports
 
-__all__ = [
-    "And",
-    "Atom",
-    "Formula",
-    "Historically",
-    "Monitor",
-    "Not",
-    "Once",
-    "Or",
-    "Since",
-    "TraceUnit",
-    "Yesterday",
-    "atom",
-    "check_response",
-    "estimate_resources",
-    "evaluate_trace",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "logic": (
+        "And", "Atom", "Formula", "Historically", "Not", "Once", "Or", "Since", "Yesterday", "atom",
+        "evaluate_trace",
+    ),
+    "monitor": ("Monitor", "TraceUnit", "check_response", "estimate_resources"),
+})

@@ -1,28 +1,11 @@
 """Discrete-event simulation substrate for the Enzian software twin."""
 
-from .kernel import (
-    AllOf,
-    AnyOf,
-    Awaitable,
-    Event,
-    Interrupt,
-    Kernel,
-    Process,
-    SimulationError,
-    Timeout,
-)
-from .resources import Channel, Resource
+from .._exports import exports
 
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "Awaitable",
-    "Channel",
-    "Event",
-    "Interrupt",
-    "Kernel",
-    "Process",
-    "Resource",
-    "SimulationError",
-    "Timeout",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "kernel": (
+        "AllOf", "AnyOf", "Awaitable", "Event", "Interrupt", "Kernel", "Process", "SimulationError",
+        "Timeout",
+    ),
+    "resources": ("Channel", "Resource"),
+})

@@ -11,33 +11,13 @@ Two capabilities on one protocol (:mod:`repro.snap.protocol`):
 See DESIGN.md §13 for the state-ownership rules and restore ordering.
 """
 
-from .checkpoint import Checkpoint, checkpoint_rack, fork_rack, restore_rack
-from .protocol import (
-    SNAP_SCHEMA,
-    SnapshotError,
-    dumps,
-    from_jsonable,
-    is_snapshottable,
-    loads,
-    restore,
-    tagged,
-    to_jsonable,
-)
-from .soak import FleetSoak
+from .._exports import exports
 
-__all__ = [
-    "Checkpoint",
-    "FleetSoak",
-    "SNAP_SCHEMA",
-    "SnapshotError",
-    "checkpoint_rack",
-    "dumps",
-    "fork_rack",
-    "from_jsonable",
-    "is_snapshottable",
-    "loads",
-    "restore",
-    "restore_rack",
-    "tagged",
-    "to_jsonable",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "checkpoint": ("Checkpoint", "checkpoint_rack", "fork_rack", "restore_rack"),
+    "protocol": (
+        "SNAP_SCHEMA", "SnapshotError", "dumps", "from_jsonable", "is_snapshottable", "loads",
+        "restore", "tagged", "to_jsonable",
+    ),
+    "soak": ("FleetSoak",),
+})

@@ -9,48 +9,17 @@ Building a :class:`TrafficEngine` runs a scenario; every run is
 deterministic under the kernel seed.
 """
 
-from .arrivals import ArrivalModel
-from .classes import (
-    Request,
-    RequestClass,
-    RequestSampler,
-    build_classes,
-    gbdt_service_ns,
-    recsys_service_ns,
-)
-from .config import (
-    ARRIVAL_MODELS,
-    CLASS_KINDS,
-    GatewayConfig,
-    RequestClassConfig,
-    TrafficConfig,
-)
-from .engine import TrafficEngine
-from .gateway import (
-    LATENCY_METRIC,
-    AdmissionRejected,
-    Gateway,
-    LruCache,
-    TokenBucket,
-)
+from .._exports import exports
 
-__all__ = [
-    "ARRIVAL_MODELS",
-    "AdmissionRejected",
-    "ArrivalModel",
-    "CLASS_KINDS",
-    "Gateway",
-    "GatewayConfig",
-    "LATENCY_METRIC",
-    "LruCache",
-    "Request",
-    "RequestClass",
-    "RequestClassConfig",
-    "RequestSampler",
-    "TokenBucket",
-    "TrafficConfig",
-    "TrafficEngine",
-    "build_classes",
-    "gbdt_service_ns",
-    "recsys_service_ns",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "arrivals": ("ArrivalModel",),
+    "classes": (
+        "Request", "RequestClass", "RequestSampler", "build_classes", "gbdt_service_ns",
+        "recsys_service_ns",
+    ),
+    "config": (
+        "ARRIVAL_MODELS", "CLASS_KINDS", "GatewayConfig", "RequestClassConfig", "TrafficConfig",
+    ),
+    "engine": ("TrafficEngine",),
+    "gateway": ("LATENCY_METRIC", "AdmissionRejected", "Gateway", "LruCache", "TokenBucket"),
+})

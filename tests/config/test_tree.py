@@ -271,3 +271,28 @@ def test_diff_between_presets():
 def test_unknown_preset():
     with pytest.raises(ConfigError, match="unknown preset"):
         preset("turbo")
+
+
+# -- integers too large for a float -----------------------------------------
+
+#: Too large for a float; past the int digit limit, even repr() raises.
+HUGE = 10**5000
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PlatformConfig.from_dict({"fpga": {"clock_mhz": HUGE}}),
+        lambda: preset("full").with_overrides({"fpga.clock_mhz": HUGE}),
+    ],
+    ids=["from_dict", "with_overrides"],
+)
+def test_integer_too_large_for_a_float_names_dotted_path(build):
+    with pytest.raises(ConfigError, match="too large") as info:
+        build()
+    assert info.value.path == "fpga.clock_mhz"
+
+
+def test_json_integer_past_the_digit_limit_raises_config_error():
+    with pytest.raises(ConfigError, match="invalid JSON"):
+        PlatformConfig.from_json('{"fpga": {"clock_mhz": 1' + "0" * 5000 + "}}")

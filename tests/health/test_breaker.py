@@ -1,5 +1,7 @@
 """CircuitBreaker: fail-fast admission control with half-open probing."""
 
+import math
+
 import pytest
 
 from repro.health import BreakerState, CircuitBreaker, CircuitOpenError
@@ -23,7 +25,9 @@ def _tripped(clock, **kwargs):
 
 def test_opens_after_consecutive_failures():
     clock = _Clock()
-    breaker = CircuitBreaker("net", clock, failure_threshold=3)
+    breaker = CircuitBreaker(
+        "net", clock, failure_threshold=3, reset_ns=10_000_000.0, half_open_probes=1
+    )
     breaker.record_failure()
     breaker.record_failure()
     assert breaker.state is BreakerState.CLOSED
@@ -34,7 +38,9 @@ def test_opens_after_consecutive_failures():
 
 def test_success_resets_the_failure_streak():
     clock = _Clock()
-    breaker = CircuitBreaker("net", clock, failure_threshold=3)
+    breaker = CircuitBreaker(
+        "net", clock, failure_threshold=3, reset_ns=10_000_000.0, half_open_probes=1
+    )
     breaker.record_failure()
     breaker.record_failure()
     breaker.record_success()
@@ -47,7 +53,7 @@ def test_check_raises_and_counts_rejections_while_open():
     clock = _Clock()
     obs = MetricsRegistry()
     breaker = CircuitBreaker(
-        "net", clock, failure_threshold=1, reset_ns=100.0, obs=obs
+        "net", clock, failure_threshold=1, reset_ns=100.0, half_open_probes=1, obs=obs
     )
     breaker.record_failure()
     with pytest.raises(CircuitOpenError) as err:
@@ -74,7 +80,7 @@ def test_half_open_after_cooldown_then_closes_on_probe_success():
 
 def test_probe_failure_reopens_and_restarts_the_timer():
     clock = _Clock()
-    breaker = _tripped(clock, reset_ns=100.0)
+    breaker = _tripped(clock, reset_ns=100.0, half_open_probes=1)
     clock.now = 120.0
     assert breaker.allow()
     breaker.record_failure()
@@ -100,7 +106,9 @@ def test_multiple_probes_required_to_close():
 
 def test_guard_wraps_check_and_outcome():
     clock = _Clock()
-    breaker = CircuitBreaker("net", clock, failure_threshold=2)
+    breaker = CircuitBreaker(
+        "net", clock, failure_threshold=2, reset_ns=10_000_000.0, half_open_probes=1
+    )
 
     def boom():
         raise ValueError("x")
@@ -117,7 +125,7 @@ def test_guard_wraps_check_and_outcome():
 
 def test_transition_log_is_timed():
     clock = _Clock()
-    breaker = _tripped(clock, reset_ns=10.0)
+    breaker = _tripped(clock, reset_ns=10.0, half_open_probes=1)
     clock.now = 10.0
     breaker.allow()
     breaker.record_success()
@@ -131,8 +139,9 @@ def test_transition_log_is_timed():
 def test_parameter_validation():
     clock = _Clock()
     with pytest.raises(ValueError):
-        CircuitBreaker("x", clock, failure_threshold=0)
+        CircuitBreaker("x", clock, failure_threshold=0, reset_ns=100.0, half_open_probes=1)
+    for reset_ns in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="reset_ns"):
+            CircuitBreaker("x", clock, failure_threshold=1, reset_ns=reset_ns, half_open_probes=1)
     with pytest.raises(ValueError):
-        CircuitBreaker("x", clock, reset_ns=0.0)
-    with pytest.raises(ValueError):
-        CircuitBreaker("x", clock, half_open_probes=0)
+        CircuitBreaker("x", clock, failure_threshold=1, reset_ns=100.0, half_open_probes=0)

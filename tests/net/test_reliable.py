@@ -232,7 +232,10 @@ def test_breaker_guards_the_send_path():
 
     kernel = Kernel()
     switch, link_a, link_b = two_hosts_via_switch(kernel)
-    breaker = CircuitBreaker("net", clock=lambda: kernel.now, failure_threshold=1)
+    breaker = CircuitBreaker(
+        "net", clock=lambda: kernel.now, failure_threshold=1, reset_ns=10_000_000.0,
+        half_open_probes=1,
+    )
     breaker.record_failure()  # trip it
     sender = ReliableSender(kernel, link_a, "a", "b", breaker=breaker)
     with pytest.raises(CircuitOpenError):
@@ -245,7 +248,10 @@ def test_breaker_records_aborts_as_failures():
 
     kernel = Kernel()
     switch, link_a, _ = two_hosts_via_switch(kernel)  # no receiver: no ACKs
-    breaker = CircuitBreaker("net", clock=lambda: kernel.now, failure_threshold=1)
+    breaker = CircuitBreaker(
+        "net", clock=lambda: kernel.now, failure_threshold=1, reset_ns=10_000_000.0,
+        half_open_probes=1,
+    )
     sender = ReliableSender(
         kernel, link_a, "a", "b", timeout_ns=100.0, max_retries=2,
         breaker=breaker,
