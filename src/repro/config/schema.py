@@ -96,34 +96,35 @@ def decode(cls: type, data: Any, path: str = "") -> Any:
 
 
 def _decode_value(hint: Any, value: Any, path: str) -> Any:
+    # A mismatch names the value's type, never its repr: past the int
+    # digit limit, repr() itself raises.
     if dataclasses.is_dataclass(hint):
         return decode(hint, value, path)
     if hint is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(path, f"expected a number, got {value!r}")
+            raise ConfigError(path, f"expected a number, got {type(value).__name__}")
         try:
             number = float(value)
         except OverflowError as exc:
-            # No repr: past the int digit limit, repr() itself raises.
             raise ConfigError(path, "expected a finite number, got an integer too large") from exc
         if not math.isfinite(number):
             raise ConfigError(path, f"expected a finite number, got {value!r}")
         return number
     if hint is int:
         if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(path, f"expected an integer, got {value!r}")
+            raise ConfigError(path, f"expected an integer, got {type(value).__name__}")
         return value
     if hint is bool:
         if not isinstance(value, bool):
-            raise ConfigError(path, f"expected a boolean, got {value!r}")
+            raise ConfigError(path, f"expected a boolean, got {type(value).__name__}")
         return value
     if hint is str:
         if not isinstance(value, str):
-            raise ConfigError(path, f"expected a string, got {value!r}")
+            raise ConfigError(path, f"expected a string, got {type(value).__name__}")
         return value
     if hint is tuple or getattr(hint, "__origin__", None) is tuple:
         if not isinstance(value, (list, tuple)):
-            raise ConfigError(path, f"expected a sequence, got {value!r}")
+            raise ConfigError(path, f"expected a sequence, got {type(value).__name__}")
         args = get_args(hint)
         # Homogeneous tuples of nested dataclasses (Tuple[X, ...]) decode
         # element-by-element; an already-constructed element passes through.

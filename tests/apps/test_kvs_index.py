@@ -1,7 +1,7 @@
 """The store's key index against the probe walk it replaced.
 
 ``HashTableStore`` finds a live key through a ``key -> slot`` map and
-walks the probe sequence only on a miss; its scan decodes only slots
+walks the probe sequence only on a miss; its scan visits only the slots
 whose state byte says full.  :class:`ProbeWalkStore` keeps the previous
 implementation, where every operation walks the sequence from the key's
 home slot and the scan decodes every slot.  Driven by the same random

@@ -296,3 +296,23 @@ def test_integer_too_large_for_a_float_names_dotted_path(build):
 def test_json_integer_past_the_digit_limit_raises_config_error():
     with pytest.raises(ConfigError, match="invalid JSON"):
         PlatformConfig.from_json('{"fpga": {"clock_mhz": 1' + "0" * 5000 + "}}")
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        ("preset", HUGE),
+        ("fleet.hinted_handoff", HUGE),
+        ("traffic.classes", HUGE),
+        ("fleet.machines", [HUGE]),
+    ],
+    ids=["str", "bool", "tuple", "int"],
+)
+@pytest.mark.parametrize("how", ["with_overrides", "from_dict"])
+def test_huge_integer_in_a_non_float_field_names_dotted_path(path, value, how):
+    with pytest.raises(ConfigError, match="expected a") as info:
+        if how == "with_overrides":
+            preset("full").with_overrides({path: value})
+        else:
+            PlatformConfig.from_dict(_nested(path, value))
+    assert info.value.path == path
