@@ -4,7 +4,7 @@ A package ``__init__`` lists, per submodule, the names it re-exports::
 
     __getattr__, __dir__, __all__ = exports(__name__, {
         "kernel": ("Kernel", "Timeout"),
-        "resources": ("Channel", "Resource"),
+        "resources": ("Channel",),
     })
 
 Importing the package then imports none of its submodules; reading an

@@ -4,8 +4,4 @@ from .._exports import exports
 
 __getattr__, __dir__, __all__ = exports(__name__, {
     "report": ("ratio_summary", "render_series", "render_table"),
-    "series": (
-        "SeriesError", "Step", "detect_steps", "integrate", "moving_average", "resample",
-        "summarize",
-    ),
 })

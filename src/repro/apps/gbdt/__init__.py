@@ -1,8 +1,8 @@
 """Gradient-boosted decision-tree inference (the §5.3 workload).
 
 The package exports the engine and its Figure-9 throughput model, which
-need no numpy.  The ensemble itself is in :mod:`.model` and the
-streaming run in :mod:`.streaming`; import them from there.
+need no numpy.  The ensemble itself is in :mod:`.model`; import it from
+there.
 """
 
 from ..._exports import exports

@@ -20,7 +20,4 @@ __getattr__, __dir__, __all__ = exports(__name__, {
     ),
     "smbus": ("SmbusController", "SmbusDevice", "SmbusError", "crc8"),
     "telemetry": ("Phase", "PowerSample", "PowerTrace", "TelemetryService"),
-    "thermal": (
-        "FanController", "ThermalNode", "ThermalParams", "ThermalZone", "enzian_thermal_zone",
-    ),
 })

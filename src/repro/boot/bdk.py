@@ -2,21 +2,18 @@
 
 The BDK runs before the processor fully boots (§4.1/§4.4): it checks
 DRAM, brings up the ECI protocol (and can dial lanes/speed up and
-down), and offers diagnostics.  Figure 12's workload script is mostly
-BDK phases: DRAM check, data-bus test, address-bus test, and two
-memtests (marching rows, random data).
-
-The memory tests are real algorithms run against a byte array standing
-in for physical DRAM -- the classic Barr-style suite: walking-ones on
-the data bus, power-of-two offsets on the address bus, then full
-device tests.
+down), and offers diagnostics.  The boot runs its DRAM check, a
+write/read probe of one byte per row of a byte array standing in for
+physical DRAM.  Figure 12's workload script is mostly BDK phases: DRAM
+check, data-bus test, address-bus test, and two memtests (marching
+rows, random data); :func:`repro.platform.figure12_phases` models each by
+its duration and power level.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 
 class MemoryFault(RuntimeError):
@@ -33,31 +30,23 @@ class MemoryFault(RuntimeError):
 
 
 class SimulatedDram:
-    """A byte array with optional injected stuck-at / aliasing faults."""
+    """A byte array standing in for physical DRAM."""
 
     def __init__(self, size: int):
         if size < 16:
             raise ValueError("DRAM must be at least 16 bytes")
         self.size = size
         self.data = bytearray(size)
-        self.stuck_bits: dict[int, int] = {}     # address -> OR-mask of stuck-at-1
-        self.address_alias_mask: Optional[int] = None  # wired-together address line
 
     def write(self, addr: int, value: int) -> None:
-        addr = self._effective(addr)
-        self.data[addr] = (value | self.stuck_bits.get(addr, 0)) & 0xFF
+        self.data[self._checked(addr)] = value & 0xFF
 
     def read(self, addr: int) -> int:
-        addr = self._effective(addr)
-        return self.data[addr] | self.stuck_bits.get(addr, 0)
+        return self.data[self._checked(addr)]
 
-    def _effective(self, addr: int) -> int:
+    def _checked(self, addr: int) -> int:
         if not 0 <= addr < self.size:
             raise IndexError(f"address {addr:#x} out of range")
-        if self.address_alias_mask is not None:
-            # A shorted address line: the masked bit is forced to zero,
-            # so two addresses alias.
-            addr &= ~self.address_alias_mask
         return addr
 
 
@@ -138,96 +127,6 @@ class Bdk:
         except MemoryFault as fault:
             return self._record("dram_check", False, touched, str(fault))
         return self._record("dram_check", True, touched)
-
-    def data_bus_test(self, addr: int = 0) -> BdkResult:
-        """Walking-ones at a fixed address: finds stuck data bits."""
-        touched = 0
-        for bit in range(8):
-            pattern = 1 << bit
-            self.dram.write(addr, pattern)
-            actual = self.dram.read(addr)
-            touched += 2
-            if actual != pattern:
-                return self._record(
-                    "data_bus_test",
-                    False,
-                    touched,
-                    str(MemoryFault("data_bus", addr, pattern, actual)),
-                )
-        return self._record("data_bus_test", True, touched)
-
-    def address_bus_test(self) -> BdkResult:
-        """Power-of-two offsets: finds shorted/open address lines."""
-        offsets = [1 << bit for bit in range(self.dram.size.bit_length() - 1)]
-        touched = 0
-        # Write a default everywhere we probe, a marker at each offset.
-        for offset in offsets:
-            self.dram.write(offset, 0xAA)
-            touched += 1
-        self.dram.write(0, 0x55)
-        touched += 1
-        for offset in offsets:
-            actual = self.dram.read(offset)
-            touched += 1
-            if actual != 0xAA:
-                return self._record(
-                    "address_bus_test",
-                    False,
-                    touched,
-                    f"aliasing at offset {offset:#x}: {actual:#04x}",
-                )
-        return self._record("address_bus_test", True, touched)
-
-    def memtest_marching_rows(self, row_bytes: int = 4096) -> BdkResult:
-        """March C- style element over rows: up-write, up-verify-invert,
-        down-verify."""
-        touched = 0
-        size = self.dram.size
-        for base in range(0, size, row_bytes):
-            end = min(base + row_bytes, size)
-            for addr in range(base, end):
-                self.dram.write(addr, 0x55)
-            touched += end - base
-        for base in range(0, size, row_bytes):
-            end = min(base + row_bytes, size)
-            for addr in range(base, end):
-                if self.dram.read(addr) != 0x55:
-                    return self._record(
-                        "memtest_marching_rows", False, touched,
-                        f"at {addr:#x}",
-                    )
-                self.dram.write(addr, 0xAA)
-            touched += 2 * (end - base)
-        for base in range(size - row_bytes, -1, -row_bytes):
-            end = min(base + row_bytes, size)
-            for addr in range(end - 1, base - 1, -1):
-                if self.dram.read(addr) != 0xAA:
-                    return self._record(
-                        "memtest_marching_rows", False, touched,
-                        f"at {addr:#x}",
-                    )
-            touched += end - base
-        return self._record("memtest_marching_rows", True, touched)
-
-    def memtest_random(self, seed: int = 0xE721A7, passes: int = 1) -> BdkResult:
-        """Pseudo-random data over the whole device, then verify."""
-        touched = 0
-        for pass_index in range(passes):
-            rng = random.Random(seed + pass_index)
-            for addr in range(self.dram.size):
-                self.dram.write(addr, rng.randrange(256))
-            touched += self.dram.size
-            rng = random.Random(seed + pass_index)
-            for addr in range(self.dram.size):
-                expected = rng.randrange(256)
-                actual = self.dram.read(addr)
-                if actual != expected:
-                    return self._record(
-                        "memtest_random", False, touched,
-                        str(MemoryFault("memtest_random", addr, expected, actual)),
-                    )
-            touched += self.dram.size
-        return self._record("memtest_random", True, touched)
 
     # -- ECI bring-up ---------------------------------------------------------
 

@@ -113,6 +113,10 @@ def _decode_value(hint: Any, value: Any, path: str) -> Any:
     if hint is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(path, f"expected an integer, got {type(value).__name__}")
+        try:
+            str(value)
+        except ValueError as exc:
+            raise ConfigError(path, "expected an integer, got one too large to print") from exc
         return value
     if hint is bool:
         if not isinstance(value, bool):

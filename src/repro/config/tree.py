@@ -46,7 +46,6 @@ from ..params import (
     PcieParams,
     RdmaPathParams,
     RegulatorParams,
-    ThermalParams,
     ThunderXSpec,
     TransferEngineParams,
 )
@@ -152,10 +151,9 @@ class FpgaConfig:
 
 @dataclass(frozen=True)
 class BmcConfig:
-    """The control plane: regulators, thermals, telemetry cadence."""
+    """The control plane: regulators and telemetry cadence."""
 
     regulator: RegulatorParams = field(default_factory=RegulatorParams)
-    thermal: ThermalParams = field(default_factory=ThermalParams)
     telemetry_sample_period_ms: float = 20.0
 
     def __post_init__(self):

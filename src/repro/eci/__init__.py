@@ -25,7 +25,6 @@ __getattr__, __dir__, __all__ = exports(__name__, {
         "ALLOWED_TRANSITIONS", "CoherenceChecker", "InvariantViolation", "MessageRuleChecker",
         "transition_allowed",
     ),
-    "analysis": ("Transaction", "TransactionAnalyzer"),
     "cosim": ("CosimCoordinator", "CosimError", "CosimSide"),
     "trace": ("TraceRecord", "TraceRecorder"),
     "link": ("EciLinkParams", "EciLinkTransport"),

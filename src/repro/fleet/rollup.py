@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..analysis.report import render_table
 from ..obs.metrics import Histogram, MetricsRegistry
 
 
@@ -163,36 +162,3 @@ class FleetRollup:
             },
             "per_op": {k: v.to_dict() for k, v in sorted(self.per_op().items())},
         }
-
-    def render(self) -> str:
-        """Human-readable rollup in the benchmark-harness table style."""
-        rows = []
-        rack = self.rack()
-        rows.append(
-            ["rack", rack.count, rack.mean, rack.percentile(50), rack.percentile(99)]
-        )
-        for machine, merged in sorted(self.per_machine().items()):
-            rows.append(
-                [
-                    f"machine={machine}",
-                    merged.count,
-                    merged.mean,
-                    merged.percentile(50),
-                    merged.percentile(99),
-                ]
-            )
-        for op, merged in sorted(self.per_op().items()):
-            rows.append(
-                [
-                    f"op={op}",
-                    merged.count,
-                    merged.mean,
-                    merged.percentile(50),
-                    merged.percentile(99),
-                ]
-            )
-        return render_table(
-            ["scope", "n", "mean_ns", "p50_ns", "p99_ns"],
-            rows,
-            title=f"fleet rollup: {self.name}",
-        )

@@ -6,7 +6,6 @@ __getattr__, __dir__, __all__ = exports(__name__, {
     "afu": ("Afu",),
     "scheduler": ("ScheduledApp", "SchedulerError", "TemporalScheduler"),
     "bitstream": ("Bitstream", "ConfigPort", "eci_shell_bitstream"),
-    "dma": ("CacheLineDma", "DmaDescriptor", "DmaError"),
     "fabric": ("XCVU9P", "Fabric", "FabricError", "FabricResources", "FpgaPowerParams"),
     "shell": ("PAGE_BYTES", "CoyoteShell", "ShellError", "TranslationFault", "VirtualFpga"),
 })

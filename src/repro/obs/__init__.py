@@ -8,7 +8,6 @@ Usage::
     obs = MetricsRegistry(record_events=True)
     kernel = Kernel(obs=obs)            # metrics stamped with kernel.now
     ...
-    print(summary_table(obs))           # per-component roll-up
     print(prometheus_text(obs))         # scrape-format snapshot
     log = events_jsonl(obs)             # replayable event log
 
@@ -19,10 +18,7 @@ pay (at most) one truthiness check per operation.
 from .._exports import exports
 
 __getattr__, __dir__, __all__ = exports(__name__, {
-    "export": (
-        "component_of", "component_summary", "events_jsonl", "parse_jsonl", "prometheus_text",
-        "snapshot_jsonl", "summary_table",
-    ),
+    "export": ("events_jsonl", "parse_jsonl", "prometheus_text", "snapshot_jsonl"),
     "metrics": (
         "NULL_INSTRUMENT", "NULL_REGISTRY", "Counter", "Family", "Gauge", "Histogram",
         "MetricsRegistry", "NullRegistry", "ObsError", "ObsEvent", "labels_key",

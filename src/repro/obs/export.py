@@ -1,15 +1,12 @@
-"""Exporters: JSON-lines event log, Prometheus-style text, summary table.
+"""Exporters: JSON-lines event log and Prometheus-style text.
 
-Three views of one registry:
+Two views of one registry:
 
 * :func:`events_jsonl` / :func:`snapshot_jsonl` -- machine-readable
   JSON lines, with :func:`parse_jsonl` as the inverse (the round trip
   ``parse_jsonl(snapshot_jsonl(r)) == r.snapshot()`` holds exactly).
 * :func:`prometheus_text` -- the scrape format, for eyeballing and for
   diffing against real monitoring tooling.
-* :func:`summary_table` -- per-component table rendered through
-  :func:`repro.analysis.report.render_table`, matching the benchmark
-  harness output style.
 
 All output is deterministically ordered (metrics by name/labels,
 events by log order) so exports are diff-able and golden-testable.
@@ -20,13 +17,7 @@ from __future__ import annotations
 import json
 from typing import List
 
-from ..analysis.report import render_table
 from .metrics import Histogram, MetricsRegistry
-
-
-def component_of(name: str) -> str:
-    """Component prefix of a metric name: ``eci_bytes_total`` -> ``eci``."""
-    return name.split("_", 1)[0] if "_" in name else name
 
 
 # -- JSON lines ------------------------------------------------------------
@@ -120,59 +111,3 @@ def prometheus_text(registry: MetricsRegistry) -> str:
             )
     return "\n".join(lines)
 
-
-# -- summary table ---------------------------------------------------------
-
-def summary_table(registry: MetricsRegistry, title: str = "observability summary") -> str:
-    """Per-component metric summary in the benchmark harness table style."""
-    rows = []
-    for metric in registry.metrics():
-        labels = ",".join(f"{k}={v}" for k, v in sorted(metric.labels.items()))
-        if isinstance(metric, Histogram):
-            rows.append(
-                [
-                    component_of(metric.name),
-                    metric.name,
-                    labels,
-                    metric.kind,
-                    metric.count,
-                    metric.mean,
-                    metric.max if metric.max is not None else "-",
-                ]
-            )
-        else:
-            rows.append(
-                [
-                    component_of(metric.name),
-                    metric.name,
-                    labels,
-                    metric.kind,
-                    "-",
-                    metric.value,
-                    "-",
-                ]
-            )
-    return render_table(
-        ["component", "metric", "labels", "kind", "n", "value/mean", "max"],
-        rows,
-        title=title,
-    )
-
-
-def component_summary(registry: MetricsRegistry) -> str:
-    """One row per component: how many series and updates it produced."""
-    per_component: dict[str, dict[str, float]] = {}
-    for metric in registry.metrics():
-        agg = per_component.setdefault(
-            component_of(metric.name), {"series": 0, "updates": 0.0}
-        )
-        agg["series"] += 1
-        if isinstance(metric, Histogram):
-            agg["updates"] += metric.count
-        else:
-            agg["updates"] += 1
-    rows = [
-        [name, int(agg["series"]), agg["updates"]]
-        for name, agg in sorted(per_component.items())
-    ]
-    return render_table(["component", "series", "updates"], rows)

@@ -321,7 +321,7 @@ class PcieParams:
         return self.raw_rate_bytes_per_ns * self.framing_efficiency
 
 
-# -- regulators and thermals (repro.bmc) ----------------------------------
+# -- regulators (repro.bmc) ------------------------------------------------
 
 @dataclass(frozen=True)
 class RegulatorParams:
@@ -341,24 +341,6 @@ class RegulatorParams:
             raise ValueError("efficiency must be in (0, 1]")
         if self.soft_start_ms < 0:
             raise ValueError("soft_start_ms must be non-negative")
-
-
-@dataclass(frozen=True)
-class ThermalParams:
-    """First-order thermal model of one component + heatsink."""
-
-    ambient_c: float = 30.0
-    #: Thermal resistance (C/W) at zero airflow.
-    theta_still_c_per_w: float = 0.9
-    #: Reduction of theta at full airflow (fraction of theta_still).
-    airflow_effect: float = 0.7
-    #: Thermal capacitance (J/C): die + heatsink mass.
-    capacitance_j_per_c: float = 220.0
-
-    def theta(self, fan_fraction: float) -> float:
-        if not 0.0 <= fan_fraction <= 1.0:
-            raise ValueError("fan fraction must be in [0, 1]")
-        return self.theta_still_c_per_w * (1.0 - self.airflow_effect * fan_fraction)
 
 
 # -- FPGA power and workload levels (repro.fpga, repro.apps) --------------

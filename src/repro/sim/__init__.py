@@ -4,8 +4,7 @@ from .._exports import exports
 
 __getattr__, __dir__, __all__ = exports(__name__, {
     "kernel": (
-        "AllOf", "AnyOf", "Awaitable", "Event", "Interrupt", "Kernel", "Process", "SimulationError",
-        "Timeout",
+        "AllOf", "AnyOf", "Awaitable", "Event", "Kernel", "Process", "SimulationError", "Timeout",
     ),
-    "resources": ("Channel", "Resource"),
+    "resources": ("Channel",),
 })

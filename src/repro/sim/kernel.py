@@ -3,7 +3,7 @@
 The kernel advances a virtual clock measured in nanoseconds and runs
 coroutine *processes* (plain Python generators).  A process yields
 awaitable objects -- :class:`Timeout`, :class:`Event`, another
-:class:`Process`, or the synchronization primitives from
+:class:`Process`, or a channel get or put from
 :mod:`repro.sim.resources` -- and is resumed when the awaited thing
 fires.  The design follows the classic event-wheel structure used by
 hardware simulators: a single ordered event queue, deterministic
@@ -22,7 +22,8 @@ the inner machinery is deliberately lean (see ``BENCH_perf.json`` and
   no observation) and instrumented/bounded variants, so the common
   case pays no per-event branches for features it does not use;
 * a process yielding a :class:`Timeout` is scheduled directly on the
-  queue -- no closure, no dynamic ``_subscribe`` dispatch;
+  queue -- no dynamic ``_subscribe`` dispatch -- and every awaitable
+  resumes a process through its bound ``_resume``, with no closure;
 * awaitable/process objects use ``__slots__``;
 * finished processes are reaped in amortized batches so long-running
   simulations do not accumulate dead bookkeeping
@@ -63,14 +64,6 @@ class SimulationError(Exception):
     """Base class for errors raised by the simulation kernel."""
 
 
-class Interrupt(SimulationError):
-    """Raised inside a process that another process interrupted."""
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 class Awaitable:
     """Base class for things a process may ``yield``.
 
@@ -84,11 +77,6 @@ class Awaitable:
     list); the default is a no-op for awaitables whose pending firing
     cannot be cancelled (a :class:`Timeout` already sits in the event
     queue -- its stale firing is dropped by the subscriber instead).
-
-    :meth:`_cancel_wait` tells a *single-waiter* awaitable that its
-    waiter abandoned the operation (process interrupt).  Only resource
-    operations override it; shared awaitables (events, timeouts) must
-    keep it a no-op because other processes may still be waiting.
     """
 
     __slots__ = ()
@@ -97,9 +85,6 @@ class Awaitable:
         raise NotImplementedError
 
     def _unsubscribe(self, kernel: "Kernel", callback: Callable[[Any], None]) -> None:
-        return None
-
-    def _cancel_wait(self) -> None:
         return None
 
 
@@ -255,24 +240,12 @@ class Process(Awaitable):
     A process is itself awaitable: yielding a process waits for it to
     finish and produces its return value.
 
-    Wakeups carry a *subscription epoch*: every resume token is tagged
-    with the epoch current when the awaited target was subscribed, and
-    :meth:`interrupt` advances the epoch.  A wakeup whose epoch is
-    stale -- the timeout or event the process was waiting on before an
-    interrupt -- is dropped instead of resuming the generator a second
-    time with an outdated value.
+    A process waits on one awaitable at a time, and that awaitable fires
+    once, so the process subscribes its bound :meth:`_resume` and is
+    resumed with the produced value itself.
     """
 
-    __slots__ = (
-        "kernel",
-        "generator",
-        "name",
-        "done",
-        "_alive",
-        "_interrupting",
-        "_epoch",
-        "_target",
-    )
+    __slots__ = ("kernel", "generator", "name", "done", "_alive")
 
     def __init__(self, kernel: "Kernel", generator: ProcessGenerator, name: str = ""):
         self.kernel = kernel
@@ -280,9 +253,6 @@ class Process(Awaitable):
         self.name = name or getattr(generator, "__name__", "process")
         self.done = Event(name=f"{self.name}.done")
         self._alive = True
-        self._interrupting: Optional[Interrupt] = None
-        self._epoch = 0
-        self._target: Optional[Awaitable] = None
 
     @property
     def alive(self) -> bool:
@@ -292,57 +262,24 @@ class Process(Awaitable):
     def result(self) -> Any:
         return self.done.value
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        The subscription the process was parked on is abandoned: its
-        epoch goes stale (a later firing is dropped) and single-waiter
-        resource operations are cancelled so a channel item is not
-        handed to a waiter that is no longer there.
-        """
-        if not self._alive:
-            return
-        self._interrupting = Interrupt(cause)
-        self._epoch += 1
-        target, self._target = self._target, None
-        if target is not None:
-            target._cancel_wait()
-        self.kernel.call_at(self.kernel.now, self._resume, (self._epoch, None))
-
     def _start(self) -> None:
-        self.kernel.call_at(self.kernel.now, self._resume, (self._epoch, None))
+        self.kernel.call_at(self.kernel.now, self._resume, None)
 
-    def _resume(self, token: tuple[int, Any]) -> None:
-        epoch = token[0]
-        if epoch != self._epoch or not self._alive:
-            return  # stale wakeup from before an interrupt
+    def _resume(self, value: Any) -> None:
         try:
-            if self._interrupting is not None:
-                exc, self._interrupting = self._interrupting, None
-                target = self.generator.throw(exc)
-            else:
-                target = self.generator.send(token[1])
+            target = self.generator.send(value)
         except StopIteration as stop:
             self._alive = False
-            self._target = None
             kernel = self.kernel
             kernel._process_finished()
             self.done.succeed(kernel, stop.value)
             return
-        self._target = target
         if type(target) is Timeout:
-            # Fast path: no closure, no dynamic _subscribe dispatch.
+            # Fast path: no dynamic _subscribe dispatch.
             kernel = self.kernel
-            kernel.call_at(
-                kernel.now + target.delay, self._resume, (epoch, target.value)
-            )
+            kernel.call_at(kernel.now + target.delay, self._resume, target.value)
         elif isinstance(target, Awaitable):
-            target._subscribe(
-                self.kernel,
-                lambda value, _resume=self._resume, _epoch=epoch: _resume(
-                    (_epoch, value)
-                ),
-            )
+            target._subscribe(self.kernel, self._resume)
         else:
             raise SimulationError(
                 f"process {self.name!r} yielded {target!r}, not an Awaitable"

@@ -1,8 +1,9 @@
-"""Synchronization primitives for simulation processes.
+"""The channel: the simulation's FIFO queue between processes.
 
-These follow the kernel's awaitable protocol: ``channel.get()`` and
+It follows the kernel's awaitable protocol: ``channel.get()`` and
 ``channel.put(item)`` return :class:`~repro.sim.kernel.Awaitable`
-objects that a process yields.  All primitives are FIFO-fair.
+objects that a process yields.  Parked gets and puts complete in FIFO
+order.
 """
 
 from __future__ import annotations
@@ -14,25 +15,16 @@ from .kernel import Awaitable, Kernel, SimulationError
 
 
 class _PendingOp(Awaitable):
-    """An operation parked on a primitive until it can complete.
+    """A get or put parked on a channel until it can complete."""
 
-    A pending op has exactly one waiter, so an interrupted waiter can
-    *cancel* it (:meth:`_cancel_wait`): the owner then discards the op
-    instead of completing it, which keeps a channel item from being
-    handed to a process that is no longer waiting and keeps a resource
-    unit from being granted to nobody.
-    """
+    __slots__ = ("owner", "item", "_callback", "_kernel", "_completed", "_value", "_kind")
 
-    __slots__ = ("owner", "item", "_callback", "_kernel", "_completed", "_value",
-                 "_cancelled", "_kind")
-
-    def __init__(self, owner: "_FifoPrimitive", item: Any = None):
+    def __init__(self, owner: "Channel", item: Any = None):
         self.owner = owner
         self.item = item
         self._callback: Optional[Callable[[Any], None]] = None
         self._kernel: Optional[Kernel] = None
         self._completed = False
-        self._cancelled = False
         self._value: Any = None
 
     def _subscribe(self, kernel: Kernel, callback: Callable[[Any], None]) -> None:
@@ -43,10 +35,6 @@ class _PendingOp(Awaitable):
             self._callback = callback
             self.owner._on_subscribe(kernel, self)
 
-    def _cancel_wait(self) -> None:
-        if not self._completed:
-            self._cancelled = True
-
     def _complete(self, kernel: Kernel, value: Any = None) -> None:
         if self._completed:
             raise SimulationError("operation completed twice")
@@ -56,12 +44,7 @@ class _PendingOp(Awaitable):
             kernel.call_at(kernel.now, self._callback, value)
 
 
-class _FifoPrimitive:
-    def _on_subscribe(self, kernel: Kernel, op: _PendingOp) -> None:
-        raise NotImplementedError
-
-
-class Channel(_FifoPrimitive):
+class Channel:
     """A FIFO channel with optional bounded capacity.
 
     ``capacity=None`` means unbounded (puts never block); otherwise a
@@ -119,59 +102,12 @@ class Channel(_FifoPrimitive):
             # Move parked puts into the buffer while there is room.
             while self._putters and not self.full:
                 put_op = self._putters.popleft()
-                if put_op._cancelled:
-                    progressed = True
-                    continue  # interrupted putter: the item never lands
                 self._items.append(put_op.item)
                 put_op._complete(kernel)
                 progressed = True
             # Hand buffered items to parked gets.
             while self._getters and self._items:
                 get_op = self._getters.popleft()
-                if get_op._cancelled:
-                    progressed = True
-                    continue  # interrupted getter: leave the item queued
                 get_op._complete(kernel, self._items.popleft())
                 progressed = True
 
-
-class Resource(_FifoPrimitive):
-    """A counting semaphore modelling a pool of identical units."""
-
-    def __init__(self, capacity: int = 1, name: str = ""):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self.name = name
-        self._in_use = 0
-        self._waiters: Deque[_PendingOp] = deque()
-
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
-    def available(self) -> int:
-        return self.capacity - self._in_use
-
-    def acquire(self) -> _PendingOp:
-        """Awaitable that completes once a unit is held."""
-        return _PendingOp(self)
-
-    def release(self, kernel: Kernel) -> None:
-        if self._in_use <= 0:
-            raise SimulationError(f"resource {self.name!r} released too many times")
-        self._in_use -= 1
-        self._grant(kernel)
-
-    def _on_subscribe(self, kernel: Kernel, op: _PendingOp) -> None:
-        self._waiters.append(op)
-        self._grant(kernel)
-
-    def _grant(self, kernel: Kernel) -> None:
-        while self._waiters and self._in_use < self.capacity:
-            op = self._waiters.popleft()
-            if op._cancelled:
-                continue  # interrupted acquirer: do not leak the unit
-            self._in_use += 1
-            op._complete(kernel)

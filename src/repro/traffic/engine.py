@@ -194,42 +194,3 @@ class TrafficEngine:
             "fleet": FleetRollup(self.obs).percentiles((50.0, 99.0)),
             "t_final_ns": self.kernel.now,
         }
-
-    def render(self) -> str:
-        """Human-readable SLO table (benchmark-harness style)."""
-        from ..analysis.report import render_table
-
-        slo = self.slo_report()
-        rows = []
-        for kind, summary in slo["classes"].items():
-            rows.append(
-                [
-                    kind,
-                    summary["count"],
-                    summary["p50_ns"],
-                    summary["p99_ns"],
-                    summary["p999_ns"],
-                    summary["slo_ns"],
-                    f"{summary['attainment'] * 100:.2f}%",
-                    "yes" if summary["met"] else "NO",
-                ]
-            )
-        for phase, classes in slo["phases"].items():
-            for kind, summary in classes.items():
-                rows.append(
-                    [
-                        f"{phase}/{kind}",
-                        summary["count"],
-                        summary["p50_ns"],
-                        summary["p99_ns"],
-                        summary["p999_ns"],
-                        summary["slo_ns"],
-                        f"{summary['attainment'] * 100:.2f}%",
-                        "yes" if summary["met"] else "NO",
-                    ]
-                )
-        return render_table(
-            ["class", "n", "p50_ns", "p99_ns", "p999_ns", "slo_ns", "attain", "met"],
-            rows,
-            title="traffic SLO report",
-        )

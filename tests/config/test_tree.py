@@ -144,12 +144,12 @@ def test_bool_is_not_a_number():
         PlatformConfig.from_dict({"fpga": {"clock_mhz": True}})
 
 
-def _float_leaf_paths(tree, path=""):
+def _leaf_paths(tree, leaf_type, path=""):
     for key, value in tree.items():
         leaf = f"{path}.{key}" if path else key
         if isinstance(value, dict):
-            yield from _float_leaf_paths(value, leaf)
-        elif isinstance(value, float):
+            yield from _leaf_paths(value, leaf_type, leaf)
+        elif type(value) is leaf_type:
             yield leaf
 
 
@@ -161,7 +161,7 @@ def _nested(path, value):
 
 
 def test_non_finite_float_leaf_names_dotted_path():
-    paths = list(_float_leaf_paths(encode(preset("full"))))
+    paths = list(_leaf_paths(encode(preset("full")), float))
     assert len(paths) > 50
     accepted = []
     for path in paths:
@@ -291,6 +291,25 @@ def test_integer_too_large_for_a_float_names_dotted_path(build):
     with pytest.raises(ConfigError, match="too large") as info:
         build()
     assert info.value.path == "fpga.clock_mhz"
+
+
+def test_integer_past_the_digit_limit_in_any_int_leaf_names_dotted_path():
+    paths = list(_leaf_paths(encode(preset("full")), int))
+    assert len(paths) > 50
+    accepted = []
+    for path in paths:
+        for build in (
+            lambda: preset("full").with_overrides({path: HUGE}),
+            lambda: PlatformConfig.from_dict(_nested(path, HUGE)),
+        ):
+            try:
+                build()
+            except ConfigError as exc:
+                if exc.path != path or "too large" not in exc.message:
+                    accepted.append((path, exc.path, exc.message))
+            else:
+                accepted.append(path)
+    assert not accepted
 
 
 def test_json_integer_past_the_digit_limit_raises_config_error():

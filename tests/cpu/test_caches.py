@@ -1,13 +1,8 @@
-"""Tests for the set-associative cache model."""
+"""Tests for the cache geometry record the ThunderX-1 spec carries."""
 
 import pytest
-from hypothesis import given, strategies as st
 
-from repro.cpu import CacheGeometry, SetAssociativeCache
-
-
-def make_cache(size=1024, ways=2, line=128):
-    return SetAssociativeCache(CacheGeometry(size, ways, line))
+from repro.params import CacheGeometry
 
 
 def test_geometry_sets():
@@ -20,86 +15,3 @@ def test_geometry_validation():
         CacheGeometry(size_bytes=0, ways=1)
     with pytest.raises(ValueError):
         CacheGeometry(size_bytes=1000, ways=3, line_bytes=128)
-
-
-def test_first_access_misses_second_hits():
-    cache = make_cache()
-    assert not cache.access(0)
-    assert cache.access(0)
-    assert cache.hits == 1
-    assert cache.misses == 1
-
-
-def test_same_line_different_offset_hits():
-    cache = make_cache(line=128)
-    cache.access(0)
-    assert cache.access(64)
-
-
-def test_lru_eviction_within_set():
-    # 1 KiB, 2-way, 128 B lines -> 4 sets; lines 0, 4, 8 map to set 0.
-    cache = make_cache(size=1024, ways=2)
-    a, b, c = 0, 4 * 128, 8 * 128
-    cache.access(a)
-    cache.access(b)
-    cache.access(c)  # evicts a
-    assert not cache.contains(a)
-    assert cache.contains(b)
-    assert cache.contains(c)
-    assert cache.evictions == 1
-
-
-def test_lru_touch_protects_line():
-    cache = make_cache(size=1024, ways=2)
-    a, b, c = 0, 4 * 128, 8 * 128
-    cache.access(a)
-    cache.access(b)
-    cache.access(a)  # a is now MRU
-    cache.access(c)  # evicts b
-    assert cache.contains(a)
-    assert not cache.contains(b)
-
-
-def test_different_sets_do_not_interfere():
-    cache = make_cache(size=1024, ways=2)
-    for i in range(4):  # one line per set
-        cache.access(i * 128)
-    assert all(cache.contains(i * 128) for i in range(4))
-    assert cache.evictions == 0
-
-
-def test_miss_rate_and_reset():
-    cache = make_cache()
-    cache.access(0)
-    cache.access(0)
-    assert cache.miss_rate == pytest.approx(0.5)
-    cache.reset_stats()
-    assert cache.accesses == 0
-    assert cache.contains(0)  # contents survive a stats reset
-    cache.flush()
-    assert not cache.contains(0)
-
-
-@given(
-    addrs=st.lists(st.integers(min_value=0, max_value=1 << 20), min_size=1, max_size=200)
-)
-def test_occupancy_never_exceeds_capacity(addrs):
-    cache = make_cache(size=2048, ways=2)
-    for addr in addrs:
-        cache.access(addr)
-    total_lines = sum(len(ways) for ways in cache._sets.values())
-    assert total_lines <= cache.geometry.sets * cache.geometry.ways
-    assert cache.hits + cache.misses == len(addrs)
-
-
-@given(
-    addrs=st.lists(
-        st.integers(min_value=0, max_value=3 * 128), min_size=1, max_size=50
-    )
-)
-def test_small_working_set_always_fits(addrs):
-    """A working set no larger than one set's ways never evicts."""
-    cache = make_cache(size=4096, ways=4)  # 8 sets of 4 ways
-    for addr in addrs:
-        cache.access(addr)
-    assert cache.evictions == 0

@@ -73,7 +73,7 @@ def test_empty_series_percentile_is_zero():
     assert series.mean == 0.0
 
 
-def test_rollup_views_and_render():
+def test_rollup_views():
     obs, samples = _registry_with_series()
     rollup = FleetRollup(obs)
     rack = rollup.rack()
@@ -83,8 +83,6 @@ def test_rollup_views_and_render():
     assert p["p50"] <= p["p99"]
     # p99 must live in the bucket containing the 80us outlier.
     assert p["p99"] >= 80_000.0
-    table = rollup.render()
-    assert "rack" in table and "machine=enzian1" in table and "op=get" in table
 
 
 def test_rollup_to_dict_is_json_stable():

@@ -1,16 +1,13 @@
-"""Exporter behaviour: JSON-lines round trip, Prometheus text, tables."""
+"""Exporter behaviour: JSON-lines round trip and Prometheus text."""
 
 import pytest
 
 from repro.obs import (
     MetricsRegistry,
-    component_of,
-    component_summary,
     events_jsonl,
     parse_jsonl,
     prometheus_text,
     snapshot_jsonl,
-    summary_table,
 )
 
 
@@ -84,26 +81,3 @@ def test_prometheus_escapes_label_values():
     r = MetricsRegistry()
     r.counter("x_total", {"path": 'a"b\\c'}).inc()
     assert 'x_total{path="a\\"b\\\\c"} 1' in prometheus_text(r)
-
-
-def test_component_of_prefixes():
-    assert component_of("eci_messages_total") == "eci"
-    assert component_of("sim_queue_depth") == "sim"
-    assert component_of("bare") == "bare"
-
-
-def test_summary_table_lists_each_series_with_component():
-    r = _populated_registry()
-    table = summary_table(r)
-    assert "component" in table.splitlines()[1]
-    assert "eci" in table and "bmc" in table and "sim" in table
-    assert "vc=REQ" in table
-    # one title line, one header, one rule, one row per series
-    assert len(table.splitlines()) == 3 + len(list(r.metrics()))
-
-
-def test_component_summary_aggregates_updates():
-    r = _populated_registry()
-    table = component_summary(r)
-    rows = {line.split()[0] for line in table.splitlines()[2:]}
-    assert rows == {"bmc", "eci", "sim"}

@@ -4,9 +4,6 @@ registry, and attaching no registry changes no benchmark output."""
 import numpy as np
 import pytest
 
-from repro.apps.gbdt import FIGURE9_PLATFORMS, GbdtAccelerator
-from repro.apps.gbdt.model import GradientBoostedEnsemble
-from repro.apps.gbdt.streaming import run_streaming_inference
 from repro.apps.vision.frames import synthetic_frame
 from repro.apps.vision.pipeline import (
     ReductionMode,
@@ -240,30 +237,6 @@ def test_reliable_sender_counts_sends_and_retransmits():
 
 # -- app pipelines ---------------------------------------------------------
 
-def _gbdt_setup():
-    rng = np.random.default_rng(5)
-    features = rng.uniform(-1, 1, (256, 4))
-    targets = features[:, 0] + 0.5 * features[:, 1]
-    ensemble = GradientBoostedEnsemble(n_trees=2).fit(features, targets)
-    accel = GbdtAccelerator(ensemble, FIGURE9_PLATFORMS["Enzian"], engines=2)
-    stream = rng.uniform(-1, 1, (2048, 4))
-    return accel, stream
-
-
-def test_gbdt_streaming_stage_histograms():
-    obs = MetricsRegistry()
-    accel, stream = _gbdt_setup()
-    result = run_streaming_inference(accel, stream, batch_tuples=512, obs=obs)
-    for stage in ("copy", "compute", "total"):
-        h = obs.histogram("app_gbdt_stage_ns", {"stage": stage})
-        assert h.count == result.batches
-    copy = obs.histogram("app_gbdt_stage_ns", {"stage": "copy"})
-    total = obs.histogram("app_gbdt_stage_ns", {"stage": "total"})
-    assert copy.mean == pytest.approx(result.copy_ns_per_batch)
-    assert total.min >= result.copy_ns_per_batch
-    assert _counter_value(obs, "app_gbdt_tuples_total") == len(stream)
-
-
 def test_vision_pipeline_stage_histograms():
     obs = MetricsRegistry()
     frame = synthetic_frame(64, 64)
@@ -279,17 +252,6 @@ def test_vision_pipeline_stage_histograms():
 
 
 # -- the zero-overhead contract -------------------------------------------
-
-def test_streaming_benchmark_identical_with_and_without_obs():
-    accel, stream = _gbdt_setup()
-    plain = run_streaming_inference(accel, stream, batch_tuples=512)
-    observed = run_streaming_inference(
-        accel, stream, batch_tuples=512, obs=MetricsRegistry(record_events=True)
-    )
-    assert plain.total_ns == observed.total_ns
-    assert plain.batches == observed.batches
-    assert np.array_equal(plain.predictions, observed.predictions)
-
 
 def test_protocol_run_identical_with_and_without_obs():
     def run(obs):

@@ -6,7 +6,6 @@ from repro.sim import (
     AllOf,
     AnyOf,
     Event,
-    Interrupt,
     Kernel,
     SimulationError,
     Timeout,
@@ -170,38 +169,6 @@ def test_any_of_returns_first():
 def test_any_of_requires_children():
     with pytest.raises(ValueError):
         AnyOf([])
-
-
-def test_interrupt_raises_inside_process():
-    k = Kernel()
-    caught = []
-
-    def victim():
-        try:
-            yield Timeout(100)
-        except Interrupt as exc:
-            caught.append((k.now, exc.cause))
-
-    def attacker(target):
-        yield Timeout(10)
-        target.interrupt("stop")
-
-    victim_proc = k.spawn(victim())
-    k.spawn(attacker(victim_proc))
-    k.run()
-    assert caught == [(10.0, "stop")]
-
-
-def test_interrupt_dead_process_is_noop():
-    k = Kernel()
-
-    def quick():
-        yield Timeout(1)
-
-    proc = k.spawn(quick())
-    k.run()
-    proc.interrupt()  # must not raise
-    k.run()
 
 
 def test_run_until_stops_the_clock():

@@ -1,20 +1,16 @@
 """Regression tests for kernel scheduling bugs.
 
-Four historical bugs, each pinned by a test that fails on the kernel
+Three historical bugs, each pinned by a test that fails on the kernel
 before its fix:
 
-1. ``Process.interrupt()`` left the awaitable's subscription armed, so
-   the abandoned timeout/event/channel-op later resumed the process a
-   second time (a *stale double-resume*).  Fixed with subscription
-   epochs plus ``_cancel_wait`` on single-waiter resource ops.
-2. ``Kernel._processes`` retained every process ever spawned; a
+1. ``Kernel._processes`` retained every process ever spawned; a
    long-running simulation leaked bookkeeping without bound.  Fixed by
    amortized reaping in ``Kernel._process_finished``.
-3. ``AnyOf`` losers stayed subscribed on reused events (the callback
+2. ``AnyOf`` losers stayed subscribed on reused events (the callback
    list grew per race), and ``Kernel.run``'s ``max_events`` check was
    off by one (``executed > max_events`` after dispatch permitted
    ``max_events + 1`` callbacks).
-4. A NaN time passed both guards (``delay < 0`` in ``Timeout``,
+3. A NaN time passed both guards (``delay < 0`` in ``Timeout``,
    ``when < now`` in ``Kernel.call_at``); the NaN entry broke the heap
    order, so events ran out of time order and ``now`` became NaN.
 """
@@ -23,131 +19,14 @@ import pytest
 
 from repro.sim import (
     AnyOf,
-    Channel,
     Event,
-    Interrupt,
     Kernel,
     SimulationError,
     Timeout,
 )
 
 
-# -- bug 1: interrupt must abandon the armed subscription -----------------
-
-
-def test_interrupt_drops_stale_timeout_wakeup():
-    """The timeout a process was parked on before an interrupt must not
-    resume it a second time when it fires."""
-    k = Kernel()
-    log = []
-
-    def victim():
-        try:
-            got = yield Timeout(10, "stale")
-            log.append(("timeout-A", k.now, got))
-        except Interrupt as exc:
-            log.append(("interrupted", k.now, exc.cause))
-        got = yield Timeout(100, "fresh")
-        log.append(("timeout-B", k.now, got))
-
-    def aggressor(target):
-        yield Timeout(5)
-        target.interrupt("bail")
-
-    proc = k.spawn(victim())
-    k.spawn(aggressor(proc))
-    k.run()
-    # Buggy kernel: the abandoned Timeout(10) fires at t=10 and resumes
-    # the generator early with "stale", producing ("timeout-B", 10.0,
-    # "stale") instead of waiting the full 100 ns.
-    assert log == [("interrupted", 5.0, "bail"), ("timeout-B", 105.0, "fresh")]
-
-
-def test_interrupt_drops_stale_event_wakeup():
-    k = Kernel()
-    log = []
-    evt = Event("gate")
-
-    def victim():
-        try:
-            yield evt
-            log.append(("event", k.now))
-        except Interrupt:
-            log.append(("interrupted", k.now))
-        got = yield Timeout(20, "after")
-        log.append(("resumed", k.now, got))
-
-    def driver(target):
-        yield Timeout(5)
-        target.interrupt()
-        yield Timeout(1)
-        evt.succeed(k, "too-late")
-
-    proc = k.spawn(victim())
-    k.spawn(driver(proc))
-    k.run()
-    assert log == [("interrupted", 5.0), ("resumed", 25.0, "after")]
-
-
-def test_interrupted_channel_getter_does_not_steal_item():
-    """An interrupted getter's parked op is cancelled: the item must go
-    to the next real waiter, not resume the interrupted process."""
-    k = Kernel()
-    ch = Channel()
-    got = []
-
-    def victim():
-        try:
-            item = yield ch.get()
-            got.append(("victim", item))
-        except Interrupt:
-            pass
-        yield Timeout(50)
-
-    def other():
-        item = yield ch.get()
-        got.append(("other", item))
-
-    def driver(target):
-        yield Timeout(5)
-        target.interrupt()
-        yield Timeout(5)
-        yield ch.put("payload")
-
-    proc = k.spawn(victim())
-    k.spawn(other())
-    k.spawn(driver(proc))
-    k.run()
-    assert got == [("other", "payload")]
-
-
-def test_back_to_back_interrupts_resume_once():
-    """Two interrupts before the process runs again collapse into one
-    resume carrying the latest cause."""
-    k = Kernel()
-    causes = []
-
-    def victim():
-        while True:
-            try:
-                yield Timeout(100)
-                return
-            except Interrupt as exc:
-                causes.append(exc.cause)
-
-    def driver(target):
-        yield Timeout(1)
-        target.interrupt("first")
-        target.interrupt("second")
-
-    proc = k.spawn(victim())
-    k.spawn(driver(proc))
-    k.run()
-    assert causes == ["second"]
-    assert not proc.alive
-
-
-# -- bug 2: dead processes must be reaped ---------------------------------
+# -- bug 1: dead processes must be reaped ---------------------------------
 
 
 def test_dead_processes_are_reaped_in_100k_spawn_soak():
@@ -176,7 +55,7 @@ def test_dead_processes_are_reaped_in_100k_spawn_soak():
     assert len(k._processes) <= 2_000
 
 
-# -- bug 3a: AnyOf losers unsubscribe -------------------------------------
+# -- bug 2a: AnyOf losers unsubscribe -------------------------------------
 
 
 def test_anyof_losers_unsubscribe_from_reused_event():
@@ -213,7 +92,7 @@ def test_anyof_event_winner_still_delivers():
     assert proc.result == (0, "won", 3.0)
 
 
-# -- bug 3b: max_events is an exact budget --------------------------------
+# -- bug 2b: max_events is an exact budget --------------------------------
 
 
 @pytest.mark.parametrize("slow_path", [False, True])
@@ -259,7 +138,7 @@ def test_max_events_budget_spans_fast_loop_chunks():
     assert count[0] == total
 
 
-# -- bug 4: NaN times are rejected ----------------------------------------
+# -- bug 3: NaN times are rejected ----------------------------------------
 
 
 def test_nan_timeout_delay_raises():

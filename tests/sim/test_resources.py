@@ -1,9 +1,8 @@
-"""Unit tests for simulation channels and resources."""
+"""Unit tests for simulation channels."""
 
 import pytest
 
-from repro.sim import Channel, Kernel, Resource, Timeout
-from repro.sim.kernel import SimulationError
+from repro.sim import Channel, Kernel, Timeout
 
 
 def test_channel_fifo_order():
@@ -128,66 +127,3 @@ def test_multiple_consumers_fifo_fair():
     k.spawn(producer(ch))
     k.run()
     assert got == [("first", "x"), ("second", "y")]
-
-
-def test_resource_mutual_exclusion():
-    k = Kernel()
-    active = []
-    max_active = []
-
-    def worker(res, hold):
-        yield res.acquire()
-        active.append(1)
-        max_active.append(len(active))
-        yield Timeout(hold)
-        active.pop()
-        res.release(k)
-
-    res = Resource(capacity=1)
-    for hold in (10, 10, 10):
-        k.spawn(worker(res, hold))
-    k.run()
-    assert max(max_active) == 1
-    assert k.now == 30.0
-
-
-def test_resource_counting_capacity():
-    k = Kernel()
-    finish_times = []
-
-    def worker(res):
-        yield res.acquire()
-        yield Timeout(10)
-        res.release(k)
-        finish_times.append(k.now)
-
-    res = Resource(capacity=2)
-    for _ in range(4):
-        k.spawn(worker(res))
-    k.run()
-    assert finish_times == [10.0, 10.0, 20.0, 20.0]
-
-
-def test_resource_over_release_raises():
-    k = Kernel()
-    res = Resource(capacity=1)
-    with pytest.raises(SimulationError):
-        res.release(k)
-
-
-def test_resource_capacity_validation():
-    with pytest.raises(ValueError):
-        Resource(capacity=0)
-
-
-def test_resource_available_accounting():
-    k = Kernel()
-    res = Resource(capacity=3)
-
-    def holder():
-        yield res.acquire()
-
-    k.spawn(holder())
-    k.run()
-    assert res.in_use == 1
-    assert res.available == 2

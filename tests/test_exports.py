@@ -39,14 +39,12 @@ MOVED = [
     ("repro.net.rdma", "RdmaPathParams"),
     ("repro.net.tcp", "FpgaTcpParams"),
     ("repro.net.tcp", "LinuxTcpParams"),
-    ("repro.cpu.caches", "CacheGeometry"),
     ("repro.cpu.core", "CoreParams"),
     ("repro.cpu.thunderx", "ThunderXSpec"),
     ("repro.memory.dram", "DdrChannelParams"),
     ("repro.memory.dram", "DramConfig"),
     ("repro.interconnect.pcie", "PcieParams"),
     ("repro.bmc.regulators", "RegulatorParams"),
-    ("repro.bmc.thermal", "ThermalParams"),
     ("repro.fpga.fabric", "FpgaPowerParams"),
     ("repro.apps.stress", "CpuLoadLevels"),
     ("repro.apps.kvs", "KvsPerformanceParams"),

@@ -67,7 +67,7 @@ def test_different_seeds_give_different_traces():
 
 
 def test_report_structure_and_slo_fields():
-    engine, report = _run()
+    _, report = _run()
     assert set(report["slo"]["classes"]) == {
         "kvs_put", "kvs_get", "recsys", "gbdt"
     }
@@ -76,9 +76,6 @@ def test_report_structure_and_slo_fields():
                 "attainment", "met"} <= set(summary)
     assert set(report["slo"]["phases"]) == {"steady"}
     assert report["scenario"]["admission"] is True
-    # The render path exercises the same summaries.
-    table = engine.render()
-    assert "traffic SLO report" in table and "kvs_get" in table
 
 
 def test_flash_scenario_labels_both_phases():

@@ -67,8 +67,6 @@ print(json.dumps({
 SERVING_MODULES = {
     "repro",
     "repro._exports",
-    "repro.analysis",
-    "repro.analysis.report",
     "repro.apps",
     "repro.apps.gbdt",
     "repro.apps.gbdt.accel",
