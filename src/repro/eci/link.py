@@ -20,7 +20,7 @@ from typing import Callable, Deque, Dict, Optional, Tuple
 from ..params import EciLinkParams
 from ..sim import Kernel
 from ..sim.units import gbps_to_bytes_per_ns
-from .messages import Message, VirtualCircuit, line_address
+from .messages import Message, VirtualCircuit
 from .protocol import Transport
 
 
@@ -338,70 +338,3 @@ class EciLinkTransport(Transport):
             return [0.0] * self.params.links
         rate = self.params.link_rate_bytes_per_ns
         return [b / (rate * wall_ns) for b in self.stats["bytes_per_link"]]
-
-    # -- checkpoint/restore (repro.snap) ---------------------------------
-    #
-    # The transport owns serializer occupancy, flow-control credit
-    # counts, lane-degradation state, fault arming, and its statistics.
-    # Messages in flight (delivery FIFOs, parked credit waiters) live
-    # against the kernel's queue, so a quiescent snapshot requires both
-    # empty; credits at quiescence may still be below par only if a
-    # credit-return event were pending -- which quiescence excludes.
-
-    SNAP_VERSION = 1
-
-    def snapshot_state(self) -> dict:
-        in_flight = sum(len(q) for q in self._pending.values())
-        parked = sum(len(q) for q in self._waiting.values())
-        if in_flight or parked:
-            from ..snap.protocol import SnapshotError
-
-            raise SnapshotError(
-                f"eci transport has {in_flight} flits in flight and "
-                f"{parked} messages parked on credits; snapshot only at "
-                "a quiescent point"
-            )
-        return {
-            "stats": {
-                key: list(value) if isinstance(value, list) else value
-                for key, value in self.stats.items()
-            },
-            "free_at": [
-                [list(key), value] for key, value in sorted(self._free_at.items())
-            ],
-            "credits": [
-                [[dst, vc.name], count]
-                for (dst, vc), count in sorted(
-                    self._credits.items(), key=lambda kv: (kv[0][0], kv[0][1].name)
-                )
-            ],
-            "lanes": list(self.lanes),
-            "retrain_until": list(self._retrain_until),
-            "corrupt_next": self._corrupt_next,
-            "fault_rate": self.fault_rate,
-            "round_robin": self._round_robin,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        from .messages import VirtualCircuit
-
-        for key, value in state["stats"].items():
-            self.stats[key] = list(value) if isinstance(value, list) else value
-        self._free_at = {
-            (int(k[0]), int(k[1]), int(k[2])): float(v)
-            for k, v in state["free_at"]
-        }
-        self._credits = {
-            (int(dst), VirtualCircuit[vc_name]): int(count)
-            for (dst, vc_name), count in state["credits"]
-        }
-        self.lanes = list(state["lanes"])
-        self._rate = [
-            gbps_to_bytes_per_ns(self.params.lane_gbps * lanes)
-            * self.params.encoding_efficiency
-            for lanes in self.lanes
-        ]
-        self._retrain_until = [float(t) for t in state["retrain_until"]]
-        self._corrupt_next = int(state["corrupt_next"])
-        self.fault_rate = float(state["fault_rate"])
-        self._round_robin = int(state["round_robin"])

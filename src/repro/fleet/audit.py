@@ -32,6 +32,8 @@ key and the harness keeps per-key op counts modest.
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -46,23 +48,24 @@ __all__ = [
     "check_history",
 ]
 
-#: A timestamp: (simulated ns, global tick).  The tick breaks ties
-#: between events at the same simulated instant, so precedence is a
-#: total order on stamps and the checker never guesses about ties.
+#: A timestamp as :attr:`HistoryOp.invoke_ts` and
+#: :attr:`HistoryOp.respond_ts` read it: (simulated ns, global tick).
+#: A record keeps only the int tick; its recorder keeps each tick's
+#: time.  The tick breaks ties between events at the same simulated
+#: instant, so precedence is a total order and the checker never
+#: guesses about ties.
 Stamp = Tuple[float, int]
-
-_NEVER: Stamp = (float("inf"), float("inf"))
 
 
 class AuditError(FleetError):
     """A recorded history is not linearizable (or is malformed)."""
 
 
-@dataclass
+@dataclass(slots=True)
 class HistoryOp:
     """One client operation: invocation, and (maybe) its response.
 
-    ``respond_ts is None`` means the outcome is unknown -- the client
+    ``respond_tick is None`` means the outcome is unknown -- the client
     timed out, abandoned the op, or the run ended first.  An unknown
     *write* may or may not have taken effect; an unknown *read*
     constrains nothing.
@@ -72,13 +75,24 @@ class HistoryOp:
     op: str                     # "put" | "get" | "delete"
     key: bytes
     arg: Optional[bytes]        # put's value; None for get/delete
-    invoke_ts: Stamp
-    respond_ts: Optional[Stamp] = None
+    invoke_tick: int
+    respond_tick: Optional[int] = None
     result: object = None       # get: value-or-None; put/delete: True
+    #: The recorder's time of each tick, shared by all its records.
+    _times: array = field(kw_only=True, repr=False, compare=False)
+
+    @property
+    def invoke_ts(self) -> Stamp:
+        return (self._times[self.invoke_tick], self.invoke_tick)
+
+    @property
+    def respond_ts(self) -> Optional[Stamp]:
+        tick = self.respond_tick
+        return None if tick is None else (self._times[tick], tick)
 
     @property
     def completed(self) -> bool:
-        return self.respond_ts is not None
+        return self.respond_tick is not None
 
     def describe(self) -> str:
         outcome = f"-> {self.result!r}" if self.completed else "-> ?"
@@ -89,15 +103,24 @@ class HistoryRecorder:
     """Collects the operation history one or more clients generate.
 
     Attach by setting ``client.history = recorder``; the client calls
-    :meth:`invoke` / :meth:`respond` / :meth:`abandon` around each
-    operation.  One recorder may serve many clients (they share one
-    kernel, so one clock and one tick counter give a consistent global
-    order).
+    :meth:`invoke` and :meth:`respond` around each operation, and an
+    operation that never responds (its retries ran out, or the run
+    ended) stays unknown, as :meth:`abandon` marks one.  One recorder
+    may serve many clients (they share one kernel, so one clock and one
+    tick counter give a consistent global order).
+
+    Each invocation and response takes the next tick, and the recorder
+    keeps that tick's ``clock()`` reading in one ``array("d")`` indexed
+    by tick, so a record holds two ints instead of two stamp tuples.
+    Tick order is ``(time, tick)`` order only while the clock never runs
+    backwards, so a stamp refuses a reading that is NaN or below the
+    previous one with :class:`AuditError`.
     """
 
     def __init__(self, clock: Callable[[], float]):
         self._clock = clock
-        self._tick = 0
+        # Index 0 stands before the first stamp: ticks start at 1.
+        self._times = array("d", [-math.inf])
         self.ops: List[HistoryOp] = []
 
     def attach(self, client) -> None:
@@ -108,9 +131,16 @@ class HistoryRecorder:
         the concurrent audit needs."""
         client.history = self
 
-    def _stamp(self) -> Stamp:
-        self._tick += 1
-        return (self._clock(), self._tick)
+    def _stamp(self, client: str, op: str, key: bytes) -> int:
+        now = self._clock()
+        times = self._times
+        if not now >= times[-1]:  # a NaN reading fails this too
+            raise AuditError(
+                f"{client} {op}({key!r}) stamped at {now!r} after a stamp "
+                f"at {times[-1]!r}: the history clock must not decrease"
+            )
+        times.append(now)
+        return len(times) - 1
 
     @property
     def clients(self) -> List[str]:
@@ -130,11 +160,11 @@ class HistoryRecorder:
             for op in ops:
                 if not op.completed:
                     continue
-                events.append((op.invoke_ts, 1))
-                events.append((op.respond_ts, -1))
+                events.append((op.invoke_tick, 1))
+                events.append((op.respond_tick, -1))
             events.sort()
             depth = 0
-            for _stamp, delta in events:
+            for _tick, delta in events:
                 depth += delta
                 if depth > worst:
                     worst = depth
@@ -143,17 +173,21 @@ class HistoryRecorder:
     def invoke(
         self, client: str, op: str, key: bytes, arg: Optional[bytes]
     ) -> HistoryOp:
-        record = HistoryOp(client, op, bytes(key), arg, self._stamp())
+        key = bytes(key)
+        record = HistoryOp(
+            client, op, key, arg, self._stamp(client, op, key), _times=self._times
+        )
         self.ops.append(record)
         return record
 
     def respond(self, record: HistoryOp, result: object) -> None:
+        tick = self._stamp(record.client, record.op, record.key)
         record.result = result
-        record.respond_ts = self._stamp()
+        record.respond_tick = tick
 
     def abandon(self, record: HistoryOp) -> None:
         """Mark an op's outcome unknown (it may still have taken effect)."""
-        record.respond_ts = None
+        record.respond_tick = None
         record.result = None
 
     def by_key(self) -> Dict[bytes, List[HistoryOp]]:
@@ -218,8 +252,8 @@ def _linearizable_key(ops: List[HistoryOp]) -> bool:
     n = len(ops)
     if n == 0:
         return True
-    invoke = [o.invoke_ts for o in ops]
-    respond = [o.respond_ts if o.completed else _NEVER for o in ops]
+    invoke = [o.invoke_tick for o in ops]
+    respond = [o.respond_tick if o.completed else math.inf for o in ops]
     required = 0
     for i, o in enumerate(ops):
         if o.completed:

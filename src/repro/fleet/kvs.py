@@ -666,10 +666,6 @@ class FleetKvsClient:
         if op_id is not None:
             self.history.respond(op_id, result)
 
-    def _hist_abandon(self, op_id) -> None:
-        if op_id is not None:
-            self.history.abandon(op_id)
-
     # -- operations (simulation processes) -----------------------------------
 
     def put(self, key: bytes, value: bytes):

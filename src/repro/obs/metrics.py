@@ -32,6 +32,10 @@ LabelsKey = Tuple[Tuple[str, str], ...]
 #: Values at or below zero land in the histogram bucket with this bound.
 ZERO_BUCKET = 0.0
 
+#: Every update must be finite: a NaN or an infinity would poison a
+#: total, a sum or a minimum for the rest of the run.
+_INF = math.inf
+
 #: Histograms tabulate their bucket bounds ``base ** k`` (integer ``k``)
 #: from 2**-64 to 2**64 ...
 _TABLE_LOG_SPAN = 64 * math.log(2.0)
@@ -127,8 +131,10 @@ class Counter(Instrument):
         self.value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ObsError(f"counter {self.name!r} can only increase, got {amount}")
+        if not 0 <= amount < _INF:
+            raise ObsError(
+                f"counter {self.name!r} can only increase by a finite amount, got {amount}"
+            )
         self.value += amount
         self._emit(self.value)
 
@@ -143,8 +149,11 @@ class Gauge(Instrument):
         self.value = 0.0
 
     def set(self, value: float) -> None:
-        self.value = float(value)
-        self._emit(self.value)
+        value = float(value)
+        if not -_INF < value < _INF:
+            raise ObsError(f"gauge {self.name!r} takes finite values, got {value}")
+        self.value = value
+        self._emit(value)
 
     def inc(self, amount: float = 1.0) -> None:
         self.set(self.value + amount)
@@ -196,6 +205,8 @@ class Histogram(Instrument):
 
     def observe(self, value: float) -> None:
         value = float(value)
+        if not -_INF < value < _INF:
+            raise ObsError(f"histogram {self.name!r} takes finite values, got {value}")
         bound = self.bucket_bound(value)
         buckets = self._buckets
         buckets[bound] = buckets.get(bound, 0) + 1

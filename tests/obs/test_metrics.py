@@ -84,6 +84,44 @@ def test_histogram_count_sum_min_max_mean():
     assert h.mean == 7.0
 
 
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("amount", NON_FINITE, ids=repr)
+def test_counter_rejects_a_non_finite_increment(amount):
+    r = MetricsRegistry(record_events=True)
+    c = r.counter("x_total")
+    c.inc(2)
+    with pytest.raises(ObsError, match="'x_total'"):
+        c.inc(amount)
+    assert c.value == 2.0
+    assert len(r.events) == 1
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+def test_gauge_rejects_a_non_finite_value(value):
+    r = MetricsRegistry(record_events=True)
+    g = r.gauge("depth")
+    g.set(3)
+    for update in (g.set, g.inc, g.dec):
+        with pytest.raises(ObsError, match="'depth'"):
+            update(value)
+    assert g.value == 3.0
+    assert len(r.events) == 1
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+def test_histogram_rejects_a_non_finite_value(value):
+    r = MetricsRegistry(record_events=True)
+    h = r.histogram("lat_ns")
+    h.observe(4.0)
+    with pytest.raises(ObsError, match="'lat_ns'"):
+        h.observe(value)
+    assert (h.count, h.sum, h.min, h.max) == (1, 4.0, 4.0, 4.0)
+    assert h.buckets() == [(4.0, 1)]
+    assert len(r.events) == 1
+
+
 def test_histogram_custom_base():
     h = MetricsRegistry().histogram("lat_ns", base=10.0)
     assert h.bucket_bound(9) == 10.0
