@@ -116,11 +116,16 @@ def record(tmp: Path) -> Set[Tuple[str, int]]:
         args = [arg.format(tmp=tmp) for arg in args]
         print("recording:", " ".join(args), file=sys.stderr, flush=True)
         done = subprocess.run(
-            [sys.executable, *args], cwd=ROOT, env=env,
-            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True
         )
         if done.returncode:
-            sys.exit(f"{' '.join(args)} failed ({done.returncode}):\n{done.stderr}")
+            # pytest reports a failure on stdout, a crashing script on stderr.
+            tails = "".join(
+                f"--- last 40 lines of {name}:\n"
+                + "".join(f"{line}\n" for line in text.splitlines()[-40:])
+                for name, text in (("stdout", done.stdout), ("stderr", done.stderr))
+            )
+            sys.exit(f"{' '.join(args)} failed ({done.returncode}):\n{tails}")
     ran = set()
     for calls in tmp.glob("calls-*.txt"):
         for line in calls.read_text().splitlines():

@@ -35,7 +35,11 @@ from repro.fleet import (
     FleetRollup,
     HistoryRecorder,
     Rack,
-    assert_linearizable,
+    check_history,
+    durability,
+    linearizability,
+    read_acked,
+    require,
 )
 from repro.obs import MetricsRegistry
 from repro.obs.export import snapshot_jsonl
@@ -83,7 +87,6 @@ def run_soak(seed: int, kill_minority: bool = False) -> dict:
 
     keys = [f"soak:{i:03d}".encode() for i in range(N_KEYS)]
     unavailable = []
-    reads = {}
     victim = MIN[0] if kill_minority else None
 
     def workload():
@@ -101,14 +104,13 @@ def run_soak(seed: int, kill_minority: bool = False) -> dict:
             yield Timeout(OP_GAP_NS)
         # Cross the window boundary: the first touch past it heals.
         yield Timeout(SPLIT_NS)
-        for key in sorted(client.acked):
-            reads[key] = yield from client.get(key)
+        return (yield from read_acked(client, [client]))
 
-    rack.kernel.run_process(workload(), name="partition-soak")
+    reads = rack.kernel.run_process(workload(), name="partition-soak")
 
     # Partition-tolerance invariants (the run *must* uphold them):
-    lost = [k.decode() for k, v in client.acked.items() if reads.get(k) != v]
-    assert not lost, f"acked writes lost across the split: {lost}"
+    report = check_history(recorder)
+    require(durability([client], reads) + linearizability(recorder, report))
     assert rack.active_partition is None, "partition never healed"
     assert rack.switch.stats["dropped_partitioned"] > 0, "split dropped nothing"
     assert unavailable, "no key went unavailable: the split was toothless"
@@ -118,7 +120,6 @@ def run_soak(seed: int, kill_minority: bool = False) -> dict:
     )
     if kill_minority:
         assert victim not in rack.ring.machines, "ring kept the dead board"
-    report = assert_linearizable(recorder)
 
     rollup = FleetRollup(obs)
     return {

@@ -26,7 +26,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.config import FaultSpec, FaultsConfig, preset
 from repro.faults import FaultInjector
-from repro.fleet import FleetRollup, Rack
+from repro.fleet import FleetRollup, Rack, durability, read_acked, require
 from repro.obs import MetricsRegistry
 from repro.obs.export import snapshot_jsonl
 
@@ -61,23 +61,15 @@ def run_rack(machines: int, seed: int) -> dict:
     )
     injector.arm_fleet(rack)
 
-    reads = {}
-
     def workload():
         for i, key in enumerate(keys):
             yield from client.put(key, f"profile-{i}".encode())
-        for key in keys:
-            reads[key] = yield from client.get(key)
+        return (yield from read_acked(client, [client]))
 
-    rack.kernel.run_process(workload(), name="rack-workload")
+    reads = rack.kernel.run_process(workload(), name="rack-workload")
 
     # Degradation invariants (the run *must* survive the kill):
-    lost = [
-        k.decode()
-        for k, v in client.acked.items()
-        if reads.get(k) != v
-    ]
-    assert not lost, f"acked writes lost in failover: {lost}"
+    require(durability([client], reads))
     assert rack.health_states()[victim] == "failed"
     assert victim not in rack.ring.machines, "ring was not rebalanced"
     assert rack.failovers, "no promotion recorded"

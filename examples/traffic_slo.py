@@ -38,7 +38,7 @@ from dataclasses import replace
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.config import preset
-from repro.fleet import Rack
+from repro.fleet import Rack, conservation, no_errors, require
 from repro.obs import MetricsRegistry
 from repro.obs.export import snapshot_jsonl
 from repro.traffic import TrafficEngine
@@ -60,15 +60,9 @@ def run_scenario(seed: int, admission: bool):
     report = engine.run()
     host_s = time.perf_counter() - started
 
-    gateway = report["gateway"]
-    # Conservation: every offered request is accounted for exactly once.
-    assert gateway["offered"] == (
-        gateway["completed"]
-        + gateway["rejected_throttled"]
-        + gateway["rejected_shed"]
-        + gateway["errors"]
-    ), f"request accounting leaked: {gateway}"
-    assert gateway["errors"] == 0, "healthy rack should serve without errors"
+    # Every offered request is accounted for exactly once, and the
+    # healthy rack serves none with an error.
+    require(conservation(report["gateway"]) + no_errors(report["gateway"]))
 
     report["seed"] = seed
     report["snapshot"] = snapshot_jsonl(obs)

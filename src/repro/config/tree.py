@@ -28,11 +28,11 @@ Presets
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Mapping, Tuple
 
 from ..faults.plan import FaultRecoveryConfig, FaultsConfig, FaultSpec
-from ..fleet.config import FleetConfig
+from ..fleet.config import AntiEntropyConfig, FleetConfig
 from ..health.config import HealthConfig
 from ..params import (
     CpuLoadLevels,
@@ -355,6 +355,61 @@ def _rack_traffic() -> PlatformConfig:
     )
 
 
+def _chaos_serving() -> PlatformConfig:
+    """``rack_traffic`` under attack (``examples/chaos_serving.py``): a
+    board killed at 12 ms, inside the flash crowd, and the rack split
+    4-vs-2 from 13 to 18 ms.  Hinted handoff is off, so convergence
+    after the heal is the job of background anti-entropy passes every
+    2 ms, and the gateway carries the chaos kit: a retry budget and
+    per-shard circuit breakers."""
+    base = _rack_traffic()
+    return replace(
+        base,
+        preset="chaos_serving",
+        fleet=replace(
+            base.fleet,
+            hinted_handoff=False,
+            # Fail fast at the KVS client (one attempt, ~60 us worst case)
+            # and let the *gateway's* budgeted retries and breakers decide
+            # what to do -- a client that retries for 300 us per call holds
+            # a backend worker hostage and head-of-line blocks the
+            # accelerator classes behind it.
+            max_retries=0,
+            anti_entropy=AntiEntropyConfig(interval_ns=2_000_000.0),
+        ),
+        traffic=replace(
+            base.traffic,
+            gateway=replace(
+                base.traffic.gateway,
+                # Provision workers for fault stalls: a request stuck on a
+                # dying shard occupies its worker for ~120 us before the
+                # breaker takes the shard out, and the accelerator classes
+                # queue behind it.  3x the fair-weather pool keeps them
+                # inside their p99 through the worst transient.
+                workers=24,
+                retry_budget=0.1,
+                retry_limit=1,
+                breaker_enabled=True,
+                breaker_failures=3,
+                breaker_reset_ns=4_000_000.0,
+                breaker_probes=1,
+            ),
+        ),
+        faults=FaultsConfig(
+            events=(
+                FaultSpec("fleet.machine", "kill", at=12_000_000.0, arg="enzian3"),
+                FaultSpec(
+                    "fleet.partition",
+                    "split",
+                    at=13_000_000.0,
+                    duration=5_000_000.0,
+                    arg="enzian0,enzian1,enzian2,enzian3|enzian4,enzian5",
+                ),
+            )
+        ),
+    )
+
+
 _PRESETS: Dict[str, Callable[[], PlatformConfig]] = {
     "full": _full,
     "bringup_4lane": _bringup_4lane,
@@ -362,6 +417,7 @@ _PRESETS: Dict[str, Callable[[], PlatformConfig]] = {
     "rack8": _rack8,
     "rack_quorum": _rack_quorum,
     "rack_traffic": _rack_traffic,
+    "chaos_serving": _chaos_serving,
 }
 
 

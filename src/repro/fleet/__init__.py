@@ -20,6 +20,10 @@ __getattr__, __dir__, __all__ = exports(__name__, {
         "FleetKvsClient", "FleetKvsError", "KvsRequest", "KvsRequestAborted", "KvsResponse",
         "KvsShardServer",
     ),
+    "oracles": (
+        "OracleError", "Violation", "conservation", "convergence", "durability", "linearizability",
+        "no_errors", "read_acked", "require",
+    ),
     "placement": ("HashRing", "PlacementError", "key_hash", "moved_keys"),
     "rack": ("Rack", "RackError", "RackMachine"),
     "rollup": ("FleetRollup", "MergedSeries", "merge_histograms"),

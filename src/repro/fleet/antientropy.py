@@ -445,30 +445,32 @@ class AntiEntropyScheduler:
 def replica_divergence(rack) -> int:
     """Count (key, live target) pairs that lag the key's winning copy.
 
-    The ground-truth convergence measure the chaos harness asserts on:
-    for every key any live ring member holds (or holds a tombstone
+    The ground-truth measure :func:`repro.fleet.oracles.convergence`
+    reads: for every key any live ring member holds (or holds a tombstone
     for), resolve the winning ``(epoch, seq)`` version across the live
     holders, then count every live placement target whose copy differs
     from it.  Zero means every current placement target serves the
-    winning version -- what a full anti-entropy pass guarantees.
+    winning version -- what a full anti-entropy pass guarantees.  Like a
+    pass, it reads each store through ``scan()``, so it leaves ``stats`` alone.
     """
     live = {
         name
         for name in rack.live_machines()
         if name in rack.ring.machines
     }
+    copies: Dict[str, Dict[bytes, bytes]] = {}
     best: Dict[bytes, Tuple[Tuple[int, int], Optional[bytes]]] = {}
     for name in sorted(live):
         machine = rack.machines[name]
-        for key, value in machine.store.scan():
-            key = bytes(key)
+        held = copies[name] = dict(machine.store.scan())
+        for key, value in held.items():
             version = machine.server.versions.get(key, NO_VERSION)
             cur = best.get(key)
             if cur is None or version > cur[0]:
                 best[key] = (version, value)
         for key, version in machine.server.versions.items():
             key = bytes(key)
-            if machine.store.get(key) is not None:
+            if key in held:
                 continue
             version = tuple(version)
             cur = best.get(key)
@@ -479,11 +481,10 @@ def replica_divergence(rack) -> int:
         for target in rack.ring.place(key):
             if target not in live:
                 continue
-            machine = rack.machines[target]
-            held = machine.store.get(key)
+            held = copies[target].get(key)
             if version > NO_VERSION:
                 in_sync = (
-                    machine.server.versions.get(key, NO_VERSION) == version
+                    rack.machines[target].server.versions.get(key, NO_VERSION) == version
                     and held == value
                 )
             else:

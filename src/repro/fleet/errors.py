@@ -14,7 +14,9 @@ condition.  The hierarchy:
   service when its server went down; recorded (not raised) so the
   client-side timeout stays the externally visible failure.
 * ``AntiEntropyError`` (:mod:`repro.fleet.antientropy`) -- a
-  scheduler armed again while its background window still ticks.
+  scheduler armed again while its background window still ticks;
+* ``OracleError`` (:mod:`repro.fleet.oracles`) -- a finished run broke
+  a serving invariant.
 """
 
 from __future__ import annotations

@@ -14,13 +14,13 @@ from repro.eci import EciLinkParams
 
 # -- round trips -----------------------------------------------------------
 
-@pytest.mark.parametrize("name", ["full", "bringup_4lane", "degraded"])
+@pytest.mark.parametrize("name", ["full", "bringup_4lane", "degraded", "chaos_serving"])
 def test_preset_dict_round_trip(name):
     cfg = preset(name)
     assert PlatformConfig.from_dict(cfg.to_dict()) == cfg
 
 
-@pytest.mark.parametrize("name", ["full", "bringup_4lane", "degraded"])
+@pytest.mark.parametrize("name", ["full", "bringup_4lane", "degraded", "chaos_serving"])
 def test_preset_json_round_trip(name):
     cfg = preset(name)
     assert PlatformConfig.from_json(cfg.to_json()) == cfg

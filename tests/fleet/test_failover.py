@@ -14,7 +14,7 @@ import pytest
 
 from repro.config import FaultSpec, FaultsConfig, FleetConfig
 from repro.faults import FaultInjector
-from repro.fleet import FleetKvsError, Rack
+from repro.fleet import FleetKvsError, Rack, durability, read_acked, require
 from repro.obs import MetricsRegistry
 from repro.obs.export import snapshot_jsonl
 
@@ -56,17 +56,14 @@ def _run_scenario(fleet=None, kill=True):
     if kill:
         injector.arm_fleet(rack)
 
-    reads = {}
-
     def workload():
         for i, key in enumerate(keys):
             yield from client.put(key, f"value-{i}".encode())
         # Read everything back after the dust settles; by now the kill
         # (if armed) has fired and the ring has failed over.
-        for key in keys:
-            reads[key] = yield from client.get(key)
+        return (yield from read_acked(client, [client]))
 
-    rack.kernel.run_process(workload(), name="workload")
+    reads = rack.kernel.run_process(workload(), name="workload")
     return rack, client, injector, obs, reads, victim
 
 
@@ -83,8 +80,7 @@ def test_kill_mid_workload_promotes_and_loses_no_acked_write():
     # Durability: every acknowledged write reads back its acked value
     # from the promoted replica set.
     assert client.acked, "workload acked nothing -- scenario is vacuous"
-    for key, value in client.acked.items():
-        assert reads[key] == value, f"acked write {key!r} lost in failover"
+    require(durability([client], reads))
 
     # The workload exercised the failure path, not just the happy path:
     # at least one request timed out against the dead primary and was
@@ -117,8 +113,7 @@ def test_no_kill_control_run_never_times_out():
     rack, client, injector, obs, reads, victim = _run_scenario(kill=False)
     assert client.stats["timeouts"] == 0
     assert rack.failovers == []
-    for key, value in client.acked.items():
-        assert reads[key] == value
+    require(durability([client], reads))
 
 
 def test_rf1_fleet_loses_unreplicated_data_but_stays_up():

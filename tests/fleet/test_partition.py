@@ -13,7 +13,8 @@ import pytest
 
 from repro.config import FaultSpec, FaultsConfig, FleetConfig
 from repro.faults import FaultInjector
-from repro.fleet import FleetKvsError, HistoryRecorder, Rack, RackError, assert_linearizable
+from repro.fleet import FleetKvsError, HistoryRecorder, Rack, RackError, check_history
+from repro.fleet.oracles import durability, linearizability, read_acked, require
 from repro.obs import MetricsRegistry
 from repro.obs.export import snapshot_jsonl
 from repro.sim import Timeout
@@ -178,7 +179,6 @@ def test_minority_kill_mid_partition_promotes_with_epoch_guard():
     rack, client, obs = _rack()
     victim, survivor = MIN
     window = 2_000_000.0
-    reads = {}
 
     def workload():
         for i in range(10):
@@ -191,15 +191,13 @@ def test_minority_kill_mid_partition_promotes_with_epoch_guard():
         # the new quorum would miss.
         assert rack.machines[survivor].server.epoch < rack.ring_epoch
         yield Timeout(window + 10_000.0)
-        for key in sorted(client.acked):
-            reads[key] = yield from client.get(key)
+        return (yield from read_acked(client, [client]))
 
-    rack.kernel.run_process(workload())
+    reads = rack.kernel.run_process(workload())
     assert victim not in rack.ring.machines
     assert rack.ring_epoch == 2  # partition bump + membership bump
     assert rack.machines[survivor].server.epoch == rack.ring_epoch
-    for key, value in client.acked.items():
-        assert reads[key] == value, f"acked write {key!r} lost"
+    require(durability([client], reads))
 
 
 # -- the fault plan path -----------------------------------------------------
@@ -220,7 +218,6 @@ def test_partition_via_fault_plan_with_audit():
     client.history = recorder
     injector = FaultInjector(_partition_plan(at=50_000.0, duration=400_000.0), obs=obs)
     injector.arm_fleet(rack)
-    reads = {}
 
     def workload():
         for i in range(24):
@@ -231,18 +228,15 @@ def test_partition_via_fault_plan_with_audit():
                 pass  # minority-side keys are unavailable mid-split
             yield Timeout(25_000.0)
         yield Timeout(200_000.0)
-        for key in sorted(client.acked):
-            reads[key] = yield from client.get(key)
+        return (yield from read_acked(client, [client]))
 
-    rack.kernel.run_process(workload())
+    reads = rack.kernel.run_process(workload())
     assert ("fleet.partition", "split") in {
         (site, kind) for _, site, kind, _ in injector.trace
     }
     assert rack.active_partition is None
     assert rack.switch.stats["dropped_partitioned"] > 0
-    for key, value in client.acked.items():
-        assert reads[key] == value, f"acked write {key!r} lost across the split"
-    assert_linearizable(recorder)
+    require(durability([client], reads) + linearizability(recorder, check_history(recorder)))
 
 
 def test_arm_partition_rejects_unknown_hosts():

@@ -13,7 +13,7 @@ scenarios live in ``test_partition.py``.
 import pytest
 
 from repro.config import FleetConfig
-from repro.fleet import FleetKvsError, Rack
+from repro.fleet import FleetKvsError, Rack, durability, read_acked, require
 from repro.fleet.kvs import NO_VERSION
 from repro.obs import MetricsRegistry
 
@@ -104,19 +104,16 @@ def test_quorum_workload_survives_primary_kill():
     rack, client, obs = _rack()
     keys = [f"qf-{i}".encode() for i in range(12)]
     victim = rack.ring.primary(keys[0])
-    reads = {}
 
     def workload():
         for i, key in enumerate(keys):
             yield from client.put(key, f"value-{i}".encode())
         rack.kill(victim)
-        for key in sorted(client.acked):
-            reads[key] = yield from client.get(key)
+        return (yield from read_acked(client, [client]))
 
-    rack.kernel.run_process(workload())
+    reads = rack.kernel.run_process(workload())
     assert victim not in rack.ring.machines
-    for key, value in client.acked.items():
-        assert reads[key] == value, f"acked write {key!r} lost in failover"
+    require(durability([client], reads))
 
 
 def test_membership_change_bumps_epoch_and_fences():

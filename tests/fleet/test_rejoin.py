@@ -15,7 +15,7 @@ is lost across the kill/rejoin cycle.
 import pytest
 
 from repro.config import FleetConfig
-from repro.fleet import FleetError, Rack, RackError
+from repro.fleet import FleetError, Rack, RackError, durability, read_acked, require
 from repro.fleet.placement import HashRing
 from repro.obs import MetricsRegistry
 
@@ -99,16 +99,8 @@ def test_no_acked_write_lost_across_kill_and_rejoin():
     rack.kill(victim)
     rack.re_replicate()
     rack.rejoin(victim)
-
-    reads = {}
-
-    def verify():
-        for key in sorted(client.acked):
-            reads[key] = yield from client.get(key)
-
-    rack.kernel.run_process(verify())
-    lost = [k for k, v in client.acked.items() if reads.get(k) != v]
-    assert not lost, f"acked writes lost across kill/rejoin: {lost}"
+    reads = rack.kernel.run_process(read_acked(client, [client]))
+    require(durability([client], reads))
 
 
 def test_rejoined_board_holds_its_placements():
@@ -135,10 +127,5 @@ def test_rejoin_durability_after_subsequent_failure():
     second = rack.ring.primary(keys[1])
     rack.kill(second)
     rack.re_replicate()
-
-    def verify():
-        for key, value in sorted(client.acked.items()):
-            got = yield from client.get(key)
-            assert got == value, f"lost {key!r} after rejoin+kill"
-
-    rack.kernel.run_process(verify())
+    reads = rack.kernel.run_process(read_acked(client, [client]))
+    require(durability([client], reads))

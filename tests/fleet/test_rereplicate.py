@@ -10,7 +10,7 @@ on at least ``min(replication_factor, live)`` machines.
 import pytest
 
 from repro.config import FleetConfig
-from repro.fleet import Rack
+from repro.fleet import Rack, durability, read_acked, require
 from repro.obs import MetricsRegistry
 
 pytestmark = pytest.mark.fleet
@@ -94,10 +94,5 @@ def test_survives_second_failure_after_repair():
     # Kill the machine now primarying the same shard.
     second = rack.ring.primary(keys[0])
     rack.kill(second)
-
-    def verify():
-        for key, value in sorted(client.acked.items()):
-            got = yield from client.get(key)
-            assert got == value, f"acked write {key!r} lost after double failure"
-
-    rack.kernel.run_process(verify())
+    reads = rack.kernel.run_process(read_acked(client, [client]))
+    require(durability([client], reads))

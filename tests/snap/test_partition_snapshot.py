@@ -11,7 +11,7 @@ against a straight-through run of the identical scenario.
 import pytest
 
 from repro.config import FleetConfig
-from repro.fleet import FleetKvsError, Rack
+from repro.fleet import FleetKvsError, Rack, durability, read_acked, require
 from repro.obs import MetricsRegistry
 from repro.obs.export import snapshot_jsonl
 from repro.sim import Timeout
@@ -55,15 +55,12 @@ def _phase_split(rack, client):
 
 def _phase_heal(rack, client):
     """Cross the window boundary and read every acked key back."""
-    reads = {}
 
     def workload():
         yield Timeout(WINDOW + 50_000.0)
-        for key in sorted(client.acked):
-            reads[key] = yield from client.get(key)
+        return (yield from read_acked(client, [client]))
 
-    rack.kernel.run_process(workload())
-    return reads
+    return rack.kernel.run_process(workload())
 
 
 def test_checkpoint_mid_partition_restores_and_heals_bit_identically():
@@ -91,7 +88,7 @@ def test_checkpoint_mid_partition_restores_and_heals_bit_identically():
     assert [event for _, event, _ in rack_c.partitions] == ["start", "heal"]
     assert not any(m.server.hints for m in rack_c.machines.values())
     # No acked write lost across the checkpoint + heal.
-    assert reads_c == dict(client_c.acked)
+    require(durability([client_c], reads_c))
     assert reads_c == reads_a
     # And the metrics diff against the uninterrupted run is empty.
     assert snapshot_jsonl(rack_c.obs) == straight
@@ -107,7 +104,7 @@ def test_mid_partition_checkpoint_survives_json_round_trip():
     rack_r, (client_r,) = restore_rack(Checkpoint.from_json(text))
     assert rack_r.active_partition == rack.active_partition
     reads = _phase_heal(rack_r, client_r)
-    assert reads == dict(client_r.acked)
+    require(durability([client_r], reads))
     assert rack_r.active_partition is None
 
 

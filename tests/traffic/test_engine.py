@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.config import FleetConfig, preset
-from repro.fleet import Rack
+from repro.fleet import Rack, conservation, no_errors, require
 from repro.obs import MetricsRegistry
 from repro.obs.export import snapshot_jsonl
 from repro.traffic import TrafficConfig, TrafficEngine
@@ -45,13 +45,7 @@ def test_open_loop_conserves_every_offered_request():
     _, report = _run()
     gateway = report["gateway"]
     assert gateway["offered"] > 0
-    assert gateway["offered"] == (
-        gateway["completed"]
-        + gateway["rejected_throttled"]
-        + gateway["rejected_shed"]
-        + gateway["errors"]
-    )
-    assert gateway["errors"] == 0
+    require(conservation(gateway) + no_errors(gateway))
 
 
 def test_open_loop_scenario_is_bit_identical_across_reruns():

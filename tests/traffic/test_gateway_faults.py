@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro.config import FleetConfig
-from repro.fleet import Rack
+from repro.fleet import Rack, conservation, no_errors, require
 from repro.health.breaker import BreakerState
 from repro.obs import MetricsRegistry
 from repro.obs.export import snapshot_jsonl
@@ -35,15 +35,6 @@ def _scenario(fleet_kw, traffic_kw, seed=0xFA11):
     rack = Rack(fleet, obs=obs)
     engine = TrafficEngine(rack, TrafficConfig(**traffic_kw), obs=obs)
     return engine, rack, obs
-
-
-def _assert_conserved(gateway: dict) -> None:
-    assert gateway["offered"] == (
-        gateway["completed"]
-        + gateway["rejected_throttled"]
-        + gateway["rejected_shed"]
-        + gateway["errors"]
-    )
 
 
 # -- satellite regression: FleetKvsError lands in per-class errors ----------
@@ -78,7 +69,7 @@ def test_backend_kill_lands_in_per_class_error_counters():
     _, _, obs, report = _kill_run()
     gateway = report["gateway"]
     assert gateway["errors"] > 0
-    _assert_conserved(gateway)
+    require(conservation(gateway))
     counted = sum(
         obs.counter(
             "traffic_errors_total", {"class": cls.kind, "reason": "backend"}
@@ -149,8 +140,8 @@ def test_retry_budget_recovers_requests_a_partition_would_fail():
     assert with_budget["gateway"]["retries"] > 0
     assert without["gateway"]["retries"] == 0
     assert with_budget["gateway"]["errors"] < without["gateway"]["errors"]
-    _assert_conserved(with_budget["gateway"])
-    _assert_conserved(without["gateway"])
+    require(conservation(with_budget["gateway"]))
+    require(conservation(without["gateway"]))
     counted = sum(
         obs.counter("traffic_retries_total", {"class": cls.kind}).value
         for cls in KVS_MIX
@@ -209,7 +200,7 @@ def test_breaker_trips_on_an_error_burst_and_sheds():
     gateway = report["gateway"]
     assert gateway["shed_breaker"] > 0
     assert gateway["rejected_shed"] >= gateway["shed_breaker"]
-    _assert_conserved(gateway)
+    require(conservation(gateway))
     assert any(
         breaker.state is not BreakerState.CLOSED
         for breaker in engine.gateway.breakers.values()
@@ -238,8 +229,7 @@ def test_breaker_stays_closed_on_a_healthy_rack():
     report = engine.run()
     gateway = report["gateway"]
     assert gateway["shed_breaker"] == 0
-    assert gateway["errors"] == 0
-    _assert_conserved(gateway)
+    require(conservation(gateway) + no_errors(gateway))
     assert all(
         breaker.state is BreakerState.CLOSED
         for breaker in engine.gateway.breakers.values()
@@ -270,5 +260,5 @@ def test_everything_on_chaos_run_conserves_exactly():
         breaker_failures=3,
     )
     gateway = report["gateway"]
-    _assert_conserved(gateway)
+    require(conservation(gateway))
     assert gateway["offered"] > 0

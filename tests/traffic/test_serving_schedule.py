@@ -14,8 +14,7 @@ final ``seq`` and the final ``now`` -- and must match a golden file.
   phases stamp requests;
 * ``accel`` -- recsys:gbdt 2:1, Poisson: the accelerator path only;
 * ``kvs`` -- kvs_put:kvs_get 3:1, Poisson, ``key_skew=1.0``;
-* ``chaos`` -- ``examples/chaos_serving.py``'s configuration with the
-  kill, the 4-vs-2 split and the flash crowd moved inside the cut and
+* ``chaos`` -- the ``chaos_serving`` preset with the kill, the 4-vs-2 split and the flash crowd moved inside the cut and
   a 200 us anti-entropy interval, so the fault injector, two background
   passes, circuit breakers, budgeted retries and partition drops all
   land in the pinned schedule.
@@ -29,7 +28,6 @@ import hashlib
 import json
 import os
 import pathlib
-import sys
 from dataclasses import replace
 
 import pytest
@@ -40,8 +38,6 @@ from repro.fleet import AntiEntropyScheduler, Rack
 from repro.obs import MetricsRegistry
 from repro.traffic import RequestClassConfig, TrafficEngine
 from tests.fleet.test_event_schedule import RecordingKernel
-
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "..", "examples"))
 
 pytestmark = pytest.mark.traffic
 
@@ -100,20 +96,14 @@ CHAOS_INTERVAL_NS = 200_000.0
 
 
 def _chaos_schedule(seed: int):
-    from chaos_serving import _chaos_config
-
-    fleet, traffic, faults = _chaos_config(seed)
-    fleet = replace(
-        fleet,
-        anti_entropy=replace(fleet.anti_entropy, interval_ns=CHAOS_INTERVAL_NS),
-    )
-    traffic = replace(
-        traffic,
-        duration_ns=1_000_000.0,
-        flash_at_ns=200_000.0,
-        flash_duration_ns=600_000.0,
-    )
-    kill, split = faults.events
+    cfg = preset("chaos_serving").with_overrides({
+        "fleet.seed": seed,
+        "fleet.anti_entropy.interval_ns": CHAOS_INTERVAL_NS,
+        "traffic.duration_ns": 1_000_000.0,
+        "traffic.flash_at_ns": 200_000.0,
+        "traffic.flash_duration_ns": 600_000.0,
+    })
+    kill, split = cfg.faults.events
     faults = FaultsConfig(
         events=(
             replace(kill, at=CHAOS_KILL_AT_NS),
@@ -122,9 +112,9 @@ def _chaos_schedule(seed: int):
     )
     kernel = RecordingKernel(seed=seed)
     obs = MetricsRegistry()
-    rack = Rack(fleet, kernel=kernel, obs=obs)
+    rack = Rack(cfg.fleet, kernel=kernel, obs=obs)
     FaultInjector(faults, obs=obs).arm_fleet(rack)
-    engine = TrafficEngine(rack, traffic, obs=obs)
+    engine = TrafficEngine(rack, cfg.traffic, obs=obs)
     scheduler = AntiEntropyScheduler(rack, obs=obs)
     scheduler.start(until_ns=CHAOS_SPLIT_AT_NS)
     report = engine.run()
