@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import FleetError
@@ -51,25 +52,34 @@ __all__ = [
 
 #: A timestamp as :attr:`HistoryOp.invoke_ts` and
 #: :attr:`HistoryOp.respond_ts` read it: (simulated ns, global tick).
-#: A record keeps only the int tick; its recorder keeps each tick's
-#: time.  The tick breaks ties between events at the same simulated
-#: instant, so precedence is a total order and the checker never
-#: guesses about ties.
+#: The recorder keeps each tick's time; the tick breaks ties between
+#: events at the same simulated instant, so precedence is a total order
+#: and the checker never guesses about ties.
 Stamp = Tuple[float, int]
+
+#: The op kinds, by the code the recorder's kind column holds.
+_KINDS = ("put", "get", "delete")
+_PUT, _GET, _DELETE = range(3)
+_KIND = {name: code for code, name in enumerate(_KINDS)}
+
+#: Respond-column values that are not ticks: the outcome is unknown,
+#: because the op is still open or because the client abandoned it.
+_OPEN, _ABANDONED = 0, -1
 
 
 class AuditError(FleetError):
     """A recorded history is not linearizable (or is malformed)."""
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class HistoryOp:
     """One client operation: invocation, and (maybe) its response.
 
-    ``respond_tick is None`` means the outcome is unknown -- the client
-    timed out, abandoned the op, or the run ended first.  An unknown
-    *write* may or may not have taken effect; an unknown *read*
-    constrains nothing.
+    A read-only view of one row of a :class:`HistoryRecorder`, built on
+    demand by :meth:`HistoryRecorder.op`.  ``respond_tick is None``
+    means the outcome is unknown -- the client timed out, abandoned the
+    op, or the run ended first.  An unknown *write* may or may not have
+    taken effect; an unknown *read* constrains nothing.
     """
 
     client: str
@@ -79,7 +89,7 @@ class HistoryOp:
     invoke_tick: int
     respond_tick: Optional[int] = None
     result: object = None       # get: value-or-None; put/delete: True
-    #: The recorder's time of each tick, shared by all its records.
+    #: The recorder's time of each tick.
     _times: array = field(kw_only=True, repr=False, compare=False)
 
     @property
@@ -104,25 +114,41 @@ class HistoryRecorder:
     """Collects the operation history one or more clients generate.
 
     Attach by setting ``client.history = recorder``; the client calls
-    :meth:`invoke` and :meth:`respond` around each operation, and an
-    operation that never responds (its retries ran out, or the run
-    ended) stays unknown, as :meth:`abandon` marks one.  One recorder
-    may serve many clients (they share one kernel, so one clock and one
-    tick counter give a consistent global order).
+    :meth:`invoke`, which returns the op's index, and :meth:`respond`
+    with that index.  An operation that never responds (its retries ran
+    out, or the run ended) stays unknown, as :meth:`abandon` marks one.
+    An op's outcome is set once: a second :meth:`respond` or
+    :meth:`abandon` raises :class:`AuditError` and changes nothing.  One
+    recorder may serve many clients (they share one kernel, so one clock
+    and one tick counter give a consistent global order).
 
-    Each invocation and response takes the next tick, and the recorder
-    keeps that tick's ``clock()`` reading in one ``array("d")`` indexed
-    by tick, so a record holds two ints instead of two stamp tuples.
-    Tick order is ``(time, tick)`` order only while the clock never runs
-    backwards, so a stamp refuses a reading that is NaN or below the
-    previous one with :class:`AuditError`.
+    The history is kept in columns, one entry per op and no object per
+    op: ``array`` columns of invoke tick, respond tick (:data:`_OPEN` or
+    :data:`_ABANDONED` while the outcome is unknown), client code and op
+    kind, lists of key, arg and result, and a table of client names.
+    Each invocation and response takes the next tick, and one
+    ``array("d")`` indexed by tick keeps that tick's ``clock()``
+    reading.  Tick order is ``(time, tick)`` order only while the clock
+    never runs backwards, so a stamp refuses a reading that is NaN or
+    below the previous one with :class:`AuditError`.  :meth:`op` and
+    :attr:`ops` build :class:`HistoryOp` records for tests and
+    diagnostics; the audit reads the columns.
     """
 
     def __init__(self, clock: Callable[[], float]):
         self._clock = clock
-        # Index 0 stands before the first stamp: ticks start at 1.
+        # Index 0 stands before the first stamp: ticks start at 1, and
+        # a respond tick of 0 is _OPEN.
         self._times = array("d", [-math.inf])
-        self.ops: List[HistoryOp] = []
+        self._invoke = array("q")
+        self._respond = array("q")
+        self._client = array("H")
+        self._kind = array("B")
+        self._keys: List[bytes] = []
+        self._args: List[Optional[bytes]] = []
+        self._results: List[object] = []
+        self._client_names: List[str] = []
+        self._client_codes: Dict[str, int] = {}
 
     def attach(self, client) -> None:
         """Point one :class:`repro.fleet.kvs.FleetKvsClient` at this
@@ -146,7 +172,7 @@ class HistoryRecorder:
     @property
     def clients(self) -> List[str]:
         """The distinct client names that recorded operations, sorted."""
-        return sorted({op.client for op in self.ops})
+        return sorted(self._client_names)
 
     def max_concurrency(self) -> int:
         """The deepest per-key overlap of completed operations.
@@ -155,50 +181,100 @@ class HistoryRecorder:
         operations actually overlapped in time; the linearizability
         oracle (:mod:`repro.fleet.oracles`) requires this above 1, so a
         passing audit cannot be an accidentally sequential schedule."""
+        invoke, respond = self._invoke, self._respond
         worst = 0
-        for ops in self.by_key().values():
-            events = []
-            for op in ops:
-                if not op.completed:
-                    continue
-                events.append((op.invoke_tick, 1))
-                events.append((op.respond_tick, -1))
-            events.sort()
-            depth = 0
-            for _tick, delta in events:
-                depth += delta
+        for rows in self._rows_by_key().values():
+            done = [i for i in rows if respond[i] > 0]
+            # Rows are in invoke order, and no two events share a tick.
+            ends = sorted(respond[i] for i in done)
+            depth = ended = 0
+            for i in done:
+                start = invoke[i]
+                while ends[ended] < start:
+                    ended += 1
+                    depth -= 1
+                depth += 1
                 if depth > worst:
                     worst = depth
         return worst
 
     def invoke(
         self, client: str, op: str, key: bytes, arg: Optional[bytes]
-    ) -> HistoryOp:
+    ) -> int:
+        """Record the invocation of ``op`` and return its index."""
         key = bytes(key)
-        record = HistoryOp(
-            client, op, key, arg, self._stamp(client, op, key), _times=self._times
+        kind = _KIND.get(op)
+        if kind is None:
+            raise AuditError(f"{client} {op}({key!r}): the audit knows no op {op!r}")
+        tick = self._stamp(client, op, key)
+        code = self._client_codes.get(client)
+        if code is None:
+            code = self._client_codes[client] = len(self._client_names)
+            self._client_names.append(client)
+        self._invoke.append(tick)
+        self._respond.append(_OPEN)
+        self._client.append(code)
+        self._kind.append(kind)
+        self._keys.append(key)
+        self._args.append(arg)
+        self._results.append(None)
+        return len(self._keys) - 1
+
+    def _settle(self, i: int, verb: str) -> Tuple[str, str, bytes]:
+        """Op ``i``'s client, op and key, once its outcome is known to be
+        unset; :class:`AuditError` if it is already set."""
+        who = client, op, key = (
+            self._client_names[self._client[i]], _KINDS[self._kind[i]], self._keys[i]
         )
-        self.ops.append(record)
-        return record
+        if self._respond[i] != _OPEN:
+            settled = "responded" if self._respond[i] > 0 else "was abandoned"
+            raise AuditError(
+                f"{client} {op}({key!r}) cannot {verb}: it {settled} "
+                "already, and an op's outcome is set only once"
+            )
+        return who
 
-    def respond(self, record: HistoryOp, result: object) -> None:
-        tick = self._stamp(record.client, record.op, record.key)
-        record.result = result
-        record.respond_tick = tick
+    def respond(self, i: int, result: object) -> None:
+        """Record the response of op ``i`` with its ``result``."""
+        self._respond[i] = self._stamp(*self._settle(i, "respond"))
+        self._results[i] = result
 
-    def abandon(self, record: HistoryOp) -> None:
-        """Mark an op's outcome unknown (it may still have taken effect)."""
-        record.respond_tick = None
-        record.result = None
+    def abandon(self, i: int) -> None:
+        """Mark op ``i``'s outcome unknown (it may still have taken effect)."""
+        self._settle(i, "abandon")
+        self._respond[i] = _ABANDONED
 
-    def by_key(self) -> Dict[bytes, List[HistoryOp]]:
-        out: Dict[bytes, List[HistoryOp]] = {}
-        for record in self.ops:
-            out.setdefault(record.key, []).append(record)
+    def op(self, i: int) -> HistoryOp:
+        """Op ``i`` as a read-only record."""
+        tick = self._respond[i]
+        return HistoryOp(
+            self._client_names[self._client[i]],
+            _KINDS[self._kind[i]],
+            self._keys[i],
+            self._args[i],
+            self._invoke[i],
+            tick if tick > 0 else None,
+            self._results[i],
+            _times=self._times,
+        )
+
+    @property
+    def ops(self) -> List[HistoryOp]:
+        """Every op as a read-only record, in invoke order."""
+        return [self.op(i) for i in range(len(self))]
+
+    def _rows_by_key(self) -> Dict[bytes, array]:
+        """Each key's op indices, in invoke order."""
+        out: Dict[bytes, array] = {}
+        for i, key in enumerate(self._keys):
+            rows = out.get(key)
+            if rows is None:
+                rows = out[key] = array("q")
+            rows.append(i)
         return out
 
     def __len__(self) -> int:
-        return len(self.ops)
+        return len(self._keys)
 
 
 @dataclass
@@ -236,8 +312,9 @@ class AuditReport:
         }
 
 
-def _linearizable_key(ops: List[HistoryOp]) -> bool:
-    """Wing & Gong search over one key's register history.
+def _linearizable_key(recorder: HistoryRecorder, rows: array) -> bool:
+    """Wing & Gong search over one key's register history, the ops at
+    ``rows`` of ``recorder``.
 
     State = the register's current value (None = absent).  An op may be
     linearized next only if no other *unlinearized* op responded before
@@ -246,20 +323,24 @@ def _linearizable_key(ops: List[HistoryOp]) -> bool:
     both including and excluding them -- excluding is simply never
     picking them).
     """
-    # Unknown reads constrain nothing and need not linearize: drop them.
-    ops = [
-        o for o in ops if o.completed or o.op in ("put", "delete")
-    ]
+    invoke: List[int] = []
+    finish: List[float] = []
+    ops = []  # (kind, arg, result)
+    required = 0
+    for i in rows:
+        kind, tick = recorder._kind[i], recorder._respond[i]
+        if tick > 0:
+            required |= 1 << len(ops)
+        elif kind == _GET:
+            continue  # unknown reads constrain nothing and need not linearize
+        else:
+            tick = math.inf
+        invoke.append(recorder._invoke[i])
+        finish.append(tick)
+        ops.append((kind, recorder._args[i], recorder._results[i]))
     n = len(ops)
     if n == 0:
         return True
-    invoke = [o.invoke_tick for o in ops]
-    respond = [o.respond_tick if o.completed else math.inf for o in ops]
-    required = 0
-    for i, o in enumerate(ops):
-        if o.completed:
-            required |= 1 << i
-    all_done = (1 << n) - 1
     seen: set = set()
 
     def search(mask: int, state: Optional[bytes]) -> bool:
@@ -269,21 +350,21 @@ def _linearizable_key(ops: List[HistoryOp]) -> bool:
         if token in seen:
             return False
         seen.add(token)
-        pending = [i for i in range(n) if not mask & (1 << i)]
-        bound = min(respond[i] for i in pending)
-        for i in pending:
-            if invoke[i] > bound:
-                continue  # some unlinearized op wholly preceded i
-            op = ops[i]
-            if op.op == "get":
-                if op.result != state:
+        pending = [j for j in range(n) if not mask & (1 << j)]
+        bound = min(finish[j] for j in pending)
+        for j in pending:
+            if invoke[j] > bound:
+                continue  # some unlinearized op wholly preceded j
+            kind, arg, result = ops[j]
+            if kind == _GET:
+                if result != state:
                     continue  # a read here would return the wrong value
                 new_state = state
-            elif op.op == "put":
-                new_state = bytes(op.arg) if op.arg is not None else b""
+            elif kind == _PUT:
+                new_state = bytes(arg) if arg is not None else b""
             else:  # delete
                 new_state = None
-            if search(mask | (1 << i), new_state):
+            if search(mask | (1 << j), new_state):
                 return True
         # Unknown-outcome ops that are *minimal* may also be skipped
         # forever; that is modelled implicitly -- they are simply never
@@ -308,28 +389,30 @@ def check_history(
     rather than hanging the test suite.
     """
     report = AuditReport()
-    by_key = recorder.by_key()
+    respond = recorder._respond
+    by_key = recorder._rows_by_key()
     for key in sorted(by_key):
-        ops = by_key[key]
-        completed = sum(1 for o in ops if o.completed)
-        if len(ops) > max_ops_per_key:
+        rows = by_key[key]
+        completed = sum(1 for i in rows if respond[i] > 0)
+        if len(rows) > max_ops_per_key:
             report.keys.append(
                 KeyReport(
-                    key, len(ops), completed, False,
-                    f"too large: {len(ops)} ops > {max_ops_per_key}",
+                    key, len(rows), completed, False,
+                    f"too large: {len(rows)} ops > {max_ops_per_key}",
                 )
             )
             continue
-        ok = _linearizable_key(ops)
+        ok = _linearizable_key(recorder, rows)
         detail = "" if ok else "no valid linearization"
-        report.keys.append(KeyReport(key, len(ops), completed, ok, detail))
+        report.keys.append(KeyReport(key, len(rows), completed, ok, detail))
     return report
 
 
 def describe_violation(recorder: HistoryRecorder, key: KeyReport) -> str:
     """Why ``key``, a failed verdict on ``recorder``'s history, failed:
     the key, the verdict's detail, and the key's first eight ops."""
-    lines = "; ".join(o.describe() for o in recorder.by_key()[key.key][:8])
+    rows = islice((i for i, k in enumerate(recorder._keys) if k == key.key), 8)
+    lines = "; ".join(recorder.op(i).describe() for i in rows)
     return (
         f"history for key {key.key!r} is not linearizable "
         f"({key.detail}; {key.ops} ops): {lines}"

@@ -657,13 +657,13 @@ class FleetKvsClient:
 
     # -- history hooks (linearizability audit) -------------------------------
 
-    def _hist_invoke(self, op: str, key: bytes, arg: Optional[bytes]):
+    def _hist_invoke(self, op: str, key: bytes, arg: Optional[bytes]) -> Optional[int]:
         if self.history is None:
             return None
-        return self.history.invoke(self.address, op, bytes(key), arg)
+        return self.history.invoke(self.address, op, key, arg)
 
-    def _hist_respond(self, op_id, result) -> None:
-        if op_id is not None:
+    def _hist_respond(self, op_id: Optional[int], result) -> None:
+        if op_id is not None:  # 0 is a valid op index
             self.history.respond(op_id, result)
 
     # -- operations (simulation processes) -----------------------------------

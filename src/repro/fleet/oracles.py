@@ -65,8 +65,9 @@ def linearizability(recorder, report) -> List[Violation]:
         Violation("linearizability", describe_violation(recorder, key))
         for key in report.violations
     ]
-    if len(recorder.clients) > 1 and recorder.max_concurrency() <= 1:
-        violations.append(Violation("overlap", f"{len(recorder.clients)} clients never overlapped"))
+    clients = len(recorder.clients)
+    if clients > 1 and recorder.max_concurrency() <= 1:
+        violations.append(Violation("overlap", f"{clients} clients never overlapped"))
     return violations
 
 

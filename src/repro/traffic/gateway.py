@@ -45,18 +45,20 @@ from .classes import Request
 from .config import GatewayConfig
 
 
-class AdmissionRejected(Exception):
+class AdmissionRejected:
     """A request was turned away at the gateway.
 
-    These are *recorded*, not raised: the gateway appends one per
-    rejection to :attr:`Gateway.rejections` (bounded) and counts them
-    per reason, so a scenario can audit exactly what was shed.
-    ``reason`` is ``"throttled"`` (token bucket empty), ``"shed"``
-    (queue at depth), or ``"breaker"`` (backend shard's circuit open).
+    A record, not an exception: the gateway appends one per rejection to
+    :attr:`Gateway.rejections` (bounded) and counts them per reason, so
+    a scenario can audit exactly what was shed.  ``reason`` is
+    ``"throttled"`` (token bucket empty), ``"shed"`` (queue at depth),
+    or ``"breaker"`` (backend shard's circuit open); ``kind`` is the
+    request's class and ``at_ns`` the simulated time of the rejection.
     """
 
+    __slots__ = ("reason", "kind", "at_ns")
+
     def __init__(self, reason: str, kind: str, at_ns: float):
-        super().__init__(f"{kind} rejected at t={at_ns:g} ns: {reason}")
         self.reason = reason
         self.kind = kind
         self.at_ns = at_ns

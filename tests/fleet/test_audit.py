@@ -62,6 +62,20 @@ def test_stale_read_is_caught():
         assert_linearizable(r)
 
 
+def test_a_second_response_cannot_hide_a_stale_read():
+    """Responding to the completed put again would move its response
+    past the stale read and let the read linearize first; the recorder
+    refuses it, and the read stays a violation."""
+    r = _recorder()
+    w = r.invoke("c0", "put", b"k", b"v1")
+    r.respond(w, True)
+    g = r.invoke("c0", "get", b"k", None)
+    r.respond(g, None)
+    with pytest.raises(AuditError, match=r"c0 put\(b'k'\) cannot respond: it responded already"):
+        r.respond(w, True)
+    assert [k.key for k in check_history(r).violations] == [b"k"]
+
+
 def test_concurrent_reads_may_split_around_a_write():
     """Two gets concurrent with a put may legally return old and new."""
     r = _recorder()

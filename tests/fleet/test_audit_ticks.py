@@ -1,11 +1,13 @@
-"""The history recorder's tick-stamped layout.
+"""The history recorder's columnar, tick-stamped layout.
 
-A record keeps two int ticks and the recorder keeps each tick's time,
-so the checker compares ticks where it used to compare ``(time, tick)``
-stamps.  The two orders agree only under a non-decreasing clock, which
-the recorder enforces.  These tests pin that agreement against a copy of
-the stamp-comparing search, the layout's memory cost, and the clock
-rule."""
+The recorder keeps each op in columns (two int ticks among them) and
+each tick's time in one array, so the checker compares ticks where it
+used to compare ``(time, tick)`` stamps, and reads the columns where it
+used to read one record per op.  The two orders agree only under a
+non-decreasing clock, which the recorder enforces.  These tests pin that
+agreement against a copy of the stamp-comparing search over built
+records, the layout's memory cost, that the audit builds no records, and
+the clock and outcome-once rules."""
 
 import math
 import tracemalloc
@@ -14,7 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fleet.audit import AuditError, HistoryRecorder, check_history
+from repro.fleet.audit import (
+    AuditError,
+    HistoryOp,
+    HistoryRecorder,
+    check_history,
+    describe_violation,
+)
 
 pytestmark = [pytest.mark.fleet, pytest.mark.partition]
 
@@ -64,9 +72,16 @@ def _stamp_linearizable_key(ops):
     return search(0, None)
 
 
+def _by_key(recorder):
+    out = {}
+    for op in recorder.ops:
+        out.setdefault(op.key, []).append(op)
+    return out
+
+
 def _stamp_max_concurrency(recorder):
     worst = 0
-    for ops in recorder.by_key().values():
+    for ops in _by_key(recorder).values():
         events = sorted(
             event
             for op in ops if op.completed
@@ -110,13 +125,13 @@ def test_tick_verdicts_match_the_stamp_reference(data):
         record = open_ops.pop(data.draw(st.integers(0, len(open_ops) - 1)))
         if action == "abandon":
             recorder.abandon(record)
-        elif record.op == "get":
+        elif recorder.op(record).op == "get":
             recorder.respond(record, data.draw(st.sampled_from((None,) + VALUES)))
         else:
             recorder.respond(record, True)
     # Whatever is still open stays unknown, as at the end of a run.
 
-    by_key = recorder.by_key()
+    by_key = _by_key(recorder)
     verdicts = {k.key: k.ok for k in check_history(recorder).keys}
     assert verdicts == {key: _stamp_linearizable_key(ops) for key, ops in by_key.items()}
     assert recorder.max_concurrency() == _stamp_max_concurrency(recorder)
@@ -129,12 +144,16 @@ def test_records_read_back_their_stamps():
     get = recorder.invoke("c1", "get", b"k", None)
     recorder.respond(put, True)
     recorder.abandon(get)
+    put, get = recorder.op(put), recorder.op(get)
     assert (put.invoke_ts, put.respond_ts, put.completed) == ((5.0, 1), (7.5, 3), True)
     assert (get.invoke_ts, get.respond_ts, get.completed) == ((5.0, 2), None, False)
     # The recorder's shared time array is neither shown nor compared.
     assert "array" not in repr(put)
-    twin = HistoryRecorder(lambda: 0.0).invoke("c0", "put", b"k", b"v")
-    twin.respond_tick, twin.result = 3, True
+    other = HistoryRecorder(lambda: 0.0)
+    twin = other.invoke("c0", "put", b"k", b"v")
+    other.invoke("c1", "get", b"k", None)
+    other.respond(twin, True)
+    twin = other.op(twin)
     assert twin == put
 
 
@@ -148,7 +167,7 @@ def test_a_clock_that_runs_backwards_is_refused(later):
     with pytest.raises(AuditError, match=rf"c0 put\(b'k'\) stamped at {later!r} after a stamp at 5\.0"):
         recorder.respond(put, True)
     # The refused response left the record as it was: outcome unknown.
-    assert (put.respond_tick, put.result) == (None, None)
+    assert (recorder.op(put).respond_tick, recorder.op(put).result) == (None, None)
 
 
 def test_a_nan_first_reading_is_refused():
@@ -158,7 +177,7 @@ def test_a_nan_first_reading_is_refused():
     assert len(recorder) == 0
 
 
-def test_recording_costs_at_most_200_bytes_per_op():
+def test_recording_costs_at_most_80_bytes_per_op():
     n = 5_000
     keys = [b"key-%d" % (i % 64) for i in range(n)]
     values = [b"value-%d" % i for i in range(n)]
@@ -184,4 +203,79 @@ def test_recording_costs_at_most_200_bytes_per_op():
     finally:
         tracemalloc.stop()
     assert len(recorder) == n
-    assert per_op <= 200, f"{per_op:.1f} B per recorded op"
+    assert per_op <= 80, f"{per_op:.1f} B per recorded op"
+
+
+def _stale_read_history():
+    """A two-client history whose key ``b"k"`` fails the audit: a put
+    completes, then a read returns the initial ``None``.  Ten more
+    overlapping puts and reads on ``b"k"`` and ``b"j"`` go first."""
+    recorder = HistoryRecorder(lambda: 0.0)
+    for key in (b"j", b"k"):
+        for n in range(5):
+            put = recorder.invoke("c0", "put", key, b"v%d" % n)
+            get = recorder.invoke("c1", "get", key, None)
+            recorder.respond(put, True)
+            recorder.respond(get, b"v%d" % n)
+    put = recorder.invoke("c0", "put", b"k", b"last")
+    recorder.respond(put, True)
+    stale = recorder.invoke("c1", "get", b"k", None)
+    recorder.respond(stale, None)
+    return recorder, put
+
+
+def test_the_audit_reads_the_columns_and_builds_no_records(monkeypatch):
+    recorder, _ = _stale_read_history()
+    built = []
+    init = HistoryOp.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[:3])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(HistoryOp, "__init__", counting_init)
+    report = check_history(recorder)
+    assert (recorder.max_concurrency(), recorder.clients) == (2, ["c0", "c1"])
+    assert [(k.key, k.ops, k.completed, k.ok) for k in report.keys] == [
+        (b"j", 10, 10, True),
+        (b"k", 12, 12, False),
+    ]
+    assert built == []
+    message = describe_violation(recorder, report.violations[0])
+    assert message.startswith(
+        "history for key b'k' is not linearizable (no valid linearization; 12 ops): "
+        "c0 put(b'k') -> True; c1 get(b'k') -> b'v0'; "
+    )
+    assert len(built) == 8
+    assert {key for _client, _op, key in built} == {b"k"}
+
+
+@pytest.mark.parametrize("second", ["respond", "abandon"])
+@pytest.mark.parametrize("first", ["respond", "abandon"])
+def test_an_outcome_is_set_only_once(first, second):
+    recorder, put = _stale_read_history()
+    if first == "abandon":
+        put = recorder.invoke("c0", "put", b"k", b"maybe")
+        recorder.abandon(put)
+    before, stamps = recorder.op(put), len(recorder._times)
+    settled = "responded" if first == "respond" else "was abandoned"
+    with pytest.raises(
+        AuditError,
+        match=rf"^c0 put\(b'k'\) cannot {second}: it {settled} already, "
+        "and an op's outcome is set only once$",
+    ):
+        if second == "respond":
+            recorder.respond(put, True)
+        else:
+            recorder.abandon(put)
+    # The refusal changed nothing: not the record, not the clock, and
+    # not the verdict the stale read earns.
+    assert (recorder.op(put), len(recorder._times)) == (before, stamps)
+    assert [k.key for k in check_history(recorder).violations] == [b"k"]
+
+
+def test_an_unknown_op_kind_is_refused():
+    recorder = HistoryRecorder(lambda: 0.0)
+    with pytest.raises(AuditError, match=r"c0 scan\(b'k'\): the audit knows no op 'scan'"):
+        recorder.invoke("c0", "scan", b"k", None)
+    assert len(recorder) == 0

@@ -24,7 +24,7 @@ from repro.snap import checkpoint_rack, restore_rack
 from repro.snap.protocol import SnapshotError, restore, tagged
 from repro.traffic.classes import Request, RequestClass
 from repro.traffic.config import GatewayConfig
-from repro.traffic.gateway import Gateway
+from repro.traffic.gateway import AdmissionRejected, Gateway
 
 pytestmark = [pytest.mark.snap, pytest.mark.fleet, pytest.mark.chaos]
 
@@ -175,6 +175,24 @@ def test_gateway_snapshot_round_trips_breakers_and_budget():
     assert gw_b.breakers[victim].state == gw_a.breakers[victim].state
     assert tagged(gw_b) == state  # before lookups perturb cache stats
     assert gw_b.cache.lookup(b"k1") == b"v1"
+
+
+def test_gateway_snapshot_round_trips_the_rejection_log():
+    (_, gw_a), (_, gw_b) = _gateway_pair()
+    cls = RequestClass(
+        kind="kvs_get", weight=1.0, slo_ns=1e5, service_ns=0.0, cacheable=True
+    )
+    reasons = ("throttled", "shed", "breaker")
+    for reason in reasons:
+        gw_a._reject(Request(cls, b"k", b"", "steady", 0.0), reason)
+    state = tagged(gw_a)
+    restore(gw_b, state)
+    now = gw_a.kernel.now
+    assert all(type(r) is AdmissionRejected for r in gw_b.rejections)
+    assert [(r.reason, r.kind, r.at_ns) for r in gw_b.rejections] == [
+        (reason, "kvs_get", now) for reason in reasons
+    ]
+    assert tagged(gw_b) == state
 
 
 def test_gateway_snapshot_requires_an_empty_queue():
