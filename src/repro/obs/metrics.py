@@ -17,6 +17,11 @@ is a single truthiness check -- benchmark outputs are bit-identical
 with and without the hooks (covered by ``tests/obs``).  A real
 :class:`MetricsRegistry` defines no ``__bool__``: it is truthy like any
 object, so the check on an observed hot path costs no Python call.
+
+The one exception is :class:`repro.traffic.Gateway`: its registry
+families are its only count of offered, rejected, retried, failed and
+completed requests, so it always holds a real registry (a private one
+when given none) and updates it without a check.
 """
 
 from __future__ import annotations
@@ -358,6 +363,18 @@ class MetricsRegistry:
         """All instruments in deterministic (name, labels) order."""
         for key in sorted(self._instruments):
             yield self._instruments[key]
+
+    def total(self, name: str, where: Optional[Mapping[str, Any]] = None) -> float:
+        """The sum over metric ``name``'s series whose labels include
+        ``where``: counter values, histogram counts.  It reads the
+        instruments, not a :class:`Family` memo, so it is right after
+        :meth:`restore_state` too."""
+        wanted = labels_key(where)
+        return sum(
+            m.count if m.kind == "histogram" else m.value
+            for (metric, key), m in self._instruments.items()
+            if metric == name and all(pair in key for pair in wanted)
+        )
 
     def snapshot(self) -> List[dict]:
         """Plain-data view of every instrument (exporter input)."""

@@ -86,7 +86,7 @@ def build_classes(config: TrafficConfig) -> List[RequestClass]:
 class Request:
     """One request in flight through the gateway."""
 
-    __slots__ = ("cls", "key", "value", "phase", "submitted_ns", "outcome")
+    __slots__ = ("cls", "key", "value", "phase", "submitted_ns")
 
     def __init__(
         self,
@@ -101,8 +101,6 @@ class Request:
         self.value = value
         self.phase = phase
         self.submitted_ns = submitted_ns
-        #: "served" | "cache_hit" | "rejected:<reason>" | "error" | "".
-        self.outcome = ""
 
 
 class RequestSampler:

@@ -48,14 +48,14 @@ class TrafficEngine:
         self.rack = rack
         self.traffic = traffic
         self.kernel = rack.kernel
-        self.obs = obs if obs is not None else rack.obs
         self.classes: List[RequestClass] = build_classes(traffic)
         self.sampler = RequestSampler(traffic, self.classes)
         self.arrivals = ArrivalModel(traffic)
         self.clients = [rack.client(f"gw{i}") for i in range(CLIENT_PORTS)]
-        self.gateway = Gateway(
-            self.kernel, traffic.gateway, self.clients, obs=self.obs
-        )
+        obs = obs if obs is not None else rack.obs
+        self.gateway = Gateway(self.kernel, traffic.gateway, self.clients, obs=obs)
+        # A private registry over a rack without one: the report measures.
+        self.obs = self.gateway.obs
         self._t0 = 0.0
 
     def attach_history(self, recorder) -> None:
@@ -163,14 +163,10 @@ class TrafficEngine:
     def report(self) -> dict:
         """The scenario's canonical deterministic output document.
 
-        Conservation holds by construction, faults included:
-        ``offered == completed + rejected_throttled + rejected_shed +
-        errors`` (cache hits complete like any other request and count
-        under ``completed``; breaker rejections fold into
-        ``rejected_shed`` with their own ``shed_breaker`` sub-counter;
-        backend failures that exhaust the retry budget count under
-        ``errors``).
-        """
+        Its ``gateway`` block is :attr:`Gateway.stats`, where conservation
+        holds by construction, faults included (cache hits count under
+        ``completed``, failures that exhaust the retry budget under
+        ``errors``)."""
         traffic = self.traffic
         gateway = self.gateway
         cache = gateway.cache

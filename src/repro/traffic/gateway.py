@@ -5,8 +5,8 @@ what a production front-end does:
 
 * **Admission control** -- a token bucket (sustained rate + burst)
   followed by queue-depth shedding.  Both rejections are *typed*
-  (:class:`AdmissionRejected` with a reason, recorded per request and
-  counted per reason) -- the load that is turned away at the door is a
+  (:class:`AdmissionRejected` with a reason, logged and counted per
+  reason) -- the load that is turned away at the door is a
   first-class output of the scenario, not a silent drop.
 * **Batching** -- admitted requests queue for a fixed pool of backend
   workers that drain them in batches (up to ``batch_max``, with a
@@ -27,7 +27,8 @@ what a production front-end does:
 Every served request lands its end-to-end latency (submit to
 completion) in the ``traffic_request_latency_ns{class,phase}``
 histogram; the engine's SLO report reads percentiles straight off
-those buckets.  Conservation is exact whatever faults fire:
+those buckets, and :attr:`Gateway.stats` sums the families.
+Conservation is exact whatever faults fire:
 ``offered == completed + rejected_throttled + rejected_shed + errors``
 (breaker rejections fold into ``rejected_shed`` and are additionally
 counted as ``shed_breaker``).
@@ -36,7 +37,8 @@ counted as ``shed_breaker``).
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from typing import Callable, Dict, List, Optional
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional
 
 from ..fleet.kvs import FleetKvsError
 from ..health import CircuitBreaker
@@ -152,7 +154,11 @@ class _IdleWorkers(Awaitable):
 
 
 class Gateway:
-    """Admission control + batching + cache in front of the rack."""
+    """Admission control + batching + cache in front of the rack.
+
+    It counts into ``obs`` (a private registry when given none), and
+    :attr:`stats` sums that registry's families: one registry serves one
+    gateway, as the engine's SLO report also assumes."""
 
     def __init__(
         self,
@@ -161,12 +167,12 @@ class Gateway:
         clients: List,
         obs=None,
     ):
-        from ..obs import NULL_REGISTRY
+        from ..obs import MetricsRegistry
 
         self.kernel = kernel
         self.config = config
         self.clients = clients
-        self.obs = obs if obs is not None else NULL_REGISTRY
+        self.obs = obs or MetricsRegistry()
         self.bucket = TokenBucket(config.admit_rps / 1e9, config.admit_burst)
         self.cache = LruCache(config.cache_slots)
         self.rejections: List[AdmissionRejected] = []
@@ -210,41 +216,51 @@ class Gateway:
         self._obs_latency = family(
             "histogram", LATENCY_METRIC, ("class", "phase"), base=1.25
         )
-        self.stats = {
-            "offered": 0,
-            "admitted": 0,
-            "cache_hits": 0,
-            "rejected_throttled": 0,
-            "rejected_shed": 0,
-            "shed_breaker": 0,
-            "completed": 0,
-            "errors": 0,
-            "retries": 0,
+        self.admitted = 0
+        self.batches = 0
+        self.batched_requests = 0
+        self.max_queue_depth = 0
+
+    @property
+    def stats(self) -> Mapping[str, int]:
+        """The gateway's counts, read-only and built on each read: sums
+        over the registry (``completed`` is the latency histogram's count),
+        the cache's hits and :attr:`OWN_COUNTS`."""
+        total = self.obs.total
+        rejected = {
+            reason: int(total("traffic_rejections_total", {"reason": reason}))
+            for reason in ("throttled", "shed", "breaker")
+        }
+        return MappingProxyType({
+            "offered": int(total("traffic_offered_total")),
+            "admitted": self.admitted,
+            "cache_hits": self.cache.hits,
+            "rejected_throttled": rejected["throttled"],
+            "rejected_shed": rejected["shed"] + rejected["breaker"],
+            "shed_breaker": rejected["breaker"],
+            "completed": int(total(LATENCY_METRIC)),
+            "errors": int(total("traffic_errors_total")),
+            "retries": int(total("traffic_retries_total")),
             # Always 0 (the gateway does not hedge).  The two keys stay
             # only because benchmarks/ledger/workloads.py reads them.
             "hedges": 0,
             "hedge_wins": 0,
-            "batches": 0,
-            "batched_requests": 0,
-            "max_queue_depth": 0,
-        }
+            "batches": self.batches,
+            "batched_requests": self.batched_requests,
+            "max_queue_depth": self.max_queue_depth,
+        })
 
     # -- ingress -------------------------------------------------------------
 
     def submit(self, request: Request) -> bool:
         """Offer one request; returns True iff it entered the system
         (cache hit or admitted to the backend queue)."""
-        stats = self.stats
         config = self.config
         kernel = self.kernel
         cls = request.cls
-        stats["offered"] += 1
-        if self.obs:
-            self._obs_offered.labels(cls.kind).inc()
+        self._obs_offered.labels(cls.kind).inc()
         if cls.cacheable and config.cache_slots:
             if self.cache.lookup(request.key) is not None:
-                stats["cache_hits"] += 1
-                request.outcome = "cache_hit"
                 kernel.call_after(CACHE_HIT_NS, self._complete, request)
                 return True
         queue = self._queue
@@ -255,15 +271,15 @@ class Gateway:
             if len(queue) >= config.max_queue_depth:
                 self._reject(request, "shed")
                 return False
-        stats["admitted"] += 1
+        self.admitted += 1
         if config.retry_budget > 0:
             self.retry_tokens = min(
                 RETRY_TOKEN_CAP, self.retry_tokens + config.retry_budget
             )
         queue.append(request)
         depth = len(queue)
-        if depth > stats["max_queue_depth"]:
-            stats["max_queue_depth"] = depth
+        if depth > self.max_queue_depth:
+            self.max_queue_depth = depth
         idle = self._idle
         if idle.waiting:
             woken, idle.waiting = idle.waiting, []
@@ -271,21 +287,10 @@ class Gateway:
         return True
 
     def _reject(self, request: Request, reason: str) -> None:
-        request.outcome = f"rejected:{reason}"
-        if reason == "breaker":
-            # Typed load-shedding past admission: folds into the shed
-            # bucket (conservation keeps its four terms) and is
-            # additionally counted on its own.
-            self.stats["rejected_shed"] += 1
-            self.stats["shed_breaker"] += 1
-        else:
-            self.stats[f"rejected_{reason}"] += 1
+        kind = request.cls.kind
         if len(self.rejections) < MAX_RECORDED_REJECTIONS:
-            self.rejections.append(
-                AdmissionRejected(reason, request.cls.kind, self.kernel.now)
-            )
-        if self.obs:
-            self._obs_rejections.labels(reason, request.cls.kind).inc()
+            self.rejections.append(AdmissionRejected(reason, kind, self.kernel.now))
+        self._obs_rejections.labels(reason, kind).inc()
 
     # -- backend workers -----------------------------------------------------
     #
@@ -350,10 +355,9 @@ class Gateway:
         """Pop the next batch (up to ``batch_max``) off a non-empty queue."""
         queue = self._queue
         batch = [queue.popleft() for _ in range(min(self.config.batch_max, len(queue)))]
-        self.stats["batches"] += 1
-        self.stats["batched_requests"] += len(batch)
-        if self.obs:
-            self._obs_queue_depth.labels().set(len(queue))
+        self.batches += 1
+        self.batched_requests += len(batch)
+        self._obs_queue_depth.labels().set(len(queue))
         return batch
 
     def _dispatch(self, woken: List[Callable]) -> None:
@@ -428,42 +432,33 @@ class Gateway:
                 ):
                     self.retry_tokens -= 1.0
                     attempts += 1
-                    self.stats["retries"] += 1
-                    if self.obs:
-                        self._obs_retries.labels(kind).inc()
+                    self._obs_retries.labels(kind).inc()
                     continue
-                self._fail(request, "backend")
+                self._obs_errors.labels(kind, "backend").inc()
                 return
             if breaker is not None:
                 breaker.record_success()
             self._complete(request)
             return
 
-    def _fail(self, request: Request, reason: str) -> None:
-        self.stats["errors"] += 1
-        request.outcome = "error"
-        if self.obs:
-            self._obs_errors.labels(request.cls.kind, reason).inc()
-
     def _complete(self, request: Request) -> None:
-        if not request.outcome:
-            request.outcome = "served"
-        self.stats["completed"] += 1
-        if self.obs:
-            self._obs_latency.labels(request.cls.kind, request.phase).observe(
-                self.kernel.now - request.submitted_ns
-            )
+        self._obs_latency.labels(request.cls.kind, request.phase).observe(
+            self.kernel.now - request.submitted_ns
+        )
 
     # -- checkpoint/restore (repro.snap) -------------------------------------
     #
     # A gateway is snapshot-safe only with an empty backend queue
     # (queued Request objects hold live generator state downstream);
-    # the explicit state is the counters, the token buckets (admission
+    # the explicit state is its own counts, the token buckets (admission
     # and retry budget), the cache contents, the recorded rejections,
-    # and every shard breaker.  Workers are spawned fresh by the
-    # harness after a restore, exactly as at construction.
+    # and every shard breaker.  The registry, restored last, brings back
+    # the rest of :attr:`stats`; the harness spawns workers afresh.
 
-    SNAP_VERSION = 2
+    SNAP_VERSION = 3
+
+    #: The :attr:`stats` keys counted in attributes, not in the registry.
+    OWN_COUNTS = ("admitted", "batches", "batched_requests", "max_queue_depth")
 
     def snapshot_state(self) -> dict:
         if self._queue:
@@ -476,34 +471,27 @@ class Gateway:
         from ..snap.protocol import tagged
 
         return {
-            "stats": dict(self.stats),
+            "stats": {name: getattr(self, name) for name in self.OWN_COUNTS},
             "retry_tokens": self.retry_tokens,
-            "bucket": {
-                "tokens": self.bucket.tokens,
-                "last_ns": self.bucket._last_ns,
-            },
+            "bucket": {"tokens": self.bucket.tokens, "last_ns": self.bucket._last_ns},
             "cache": {
                 "entries": [[k, v] for k, v in self.cache._entries.items()],
                 "hits": self.cache.hits,
                 "misses": self.cache.misses,
                 "evictions": self.cache.evictions,
             },
-            "rejections": [
-                [r.reason, r.kind, r.at_ns] for r in self.rejections
-            ],
-            "breakers": {
-                name: tagged(breaker)
-                for name, breaker in sorted(self.breakers.items())
-            },
+            "rejections": [[r.reason, r.kind, r.at_ns] for r in self.rejections],
+            "breakers": {name: tagged(b) for name, b in sorted(self.breakers.items())},
         }
 
     def restore_state(self, state: dict) -> None:
         from ..snap.protocol import SnapshotError, restore
 
-        unknown = sorted(set(state["stats"]) - set(self.stats))
+        unknown = sorted(set(state["stats"]) - set(self.OWN_COUNTS))
         if unknown:
             raise SnapshotError(f"checkpoint carries unknown gateway stats {unknown}")
-        self.stats.update(state["stats"])
+        for name, value in state["stats"].items():
+            setattr(self, name, value)
         self.retry_tokens = state["retry_tokens"]
         self.bucket.tokens = state["bucket"]["tokens"]
         self.bucket._last_ns = state["bucket"]["last_ns"]

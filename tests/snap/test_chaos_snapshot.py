@@ -158,10 +158,13 @@ def _gateway_pair():
 
 def test_gateway_snapshot_round_trips_breakers_and_budget():
     (rack_a, gw_a), (_, gw_b) = _gateway_pair()
-    # Mutate: counters, cache, retry tokens, a tripped breaker.
-    gw_a.stats["offered"] = 7
-    gw_a.stats["completed"] = 5
-    gw_a.stats["retries"] = 2
+    # Mutate: counts (through the registry families and the gateway's
+    # own), cache, retry tokens, a tripped breaker.
+    gw_a._obs_offered.labels("kvs_get").inc(7)
+    for _ in range(5):
+        gw_a._obs_latency.labels("kvs_get", "steady").observe(2_000.0)
+    gw_a._obs_retries.labels("kvs_get").inc(2)
+    gw_a.admitted = 6
     gw_a.retry_tokens = 3.5
     gw_a.cache.fill(b"k1", b"v1")
     gw_a.cache.lookup(b"k1")
@@ -170,7 +173,12 @@ def test_gateway_snapshot_round_trips_breakers_and_budget():
         gw_a.breakers[victim].record_failure()
     state = tagged(gw_a)
     restore(gw_b, state)
+    # The registry restores alongside, last, as restore_rack does.
+    restore(gw_b.obs, tagged(gw_a.obs))
     assert gw_b.stats == gw_a.stats
+    assert [gw_b.stats[k] for k in ("offered", "completed", "retries", "admitted")] == [
+        7, 5, 2, 6
+    ]
     assert gw_b.retry_tokens == 3.5
     assert gw_b.breakers[victim].state == gw_a.breakers[victim].state
     assert tagged(gw_b) == state  # before lookups perturb cache stats
@@ -203,6 +211,17 @@ def test_gateway_snapshot_requires_an_empty_queue():
     gw_a._queue.append(Request(cls, b"k", b"", "steady", 0.0))
     with pytest.raises(SnapshotError, match="queued"):
         gw_a.snapshot_state()
+
+
+def test_gateway_restore_refuses_a_version_2_checkpoint():
+    """Version 2 carried every count in the gateway's state; version 3
+    carries only its own, and the registry brings back the rest."""
+    (_, gw_a), (_, gw_b) = _gateway_pair()
+    state = tagged(gw_a)
+    assert sorted(state["state"]["stats"]) == sorted(Gateway.OWN_COUNTS)
+    state["version"] = 2
+    with pytest.raises(SnapshotError, match="version 2"):
+        restore(gw_b, state)
 
 
 def test_gateway_restore_rejects_an_unknown_stats_key():

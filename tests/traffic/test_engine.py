@@ -95,6 +95,21 @@ def test_offered_counters_reach_the_registry():
     assert "traffic_request_latency_ns" in doc
 
 
+def test_an_engine_over_a_rack_without_a_registry_still_measures():
+    """The gateway counts into a private registry when the rack has
+    none, so the report matches a run with one instead of reading an
+    empty registry (every class ``count`` 0 and ``met``)."""
+    cfg = preset("rack_traffic").with_overrides({"traffic.duration_ns": 2_000_000.0})
+    reports = []
+    for obs in (MetricsRegistry(), None):
+        rack = Rack(cfg.fleet, obs=obs)
+        reports.append(TrafficEngine(rack, cfg.traffic).run())
+    observed, bare = reports
+    assert sum(s["count"] for s in bare["slo"]["classes"].values()) > 0
+    for block in ("gateway", "cache", "slo"):
+        assert bare[block] == observed[block], block
+
+
 def test_disabled_traffic_leaves_fleet_runs_bit_identical():
     """The traffic section acts only through a TrafficEngine: a fleet
     workload that builds none must not consume any extra RNG or

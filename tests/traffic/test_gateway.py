@@ -105,18 +105,22 @@ def test_token_bucket_throttling_is_typed():
     assert gateway.submit(_request(kernel, cls)) is False
     assert gateway.stats["rejected_throttled"] == 1
     assert gateway.rejections[-1].reason == "throttled"
+    assert gateway.rejections[-1].kind == "gbdt"
 
 
-def test_rejected_requests_carry_their_outcome():
+def test_stats_is_a_read_only_view_of_the_registry():
     kernel = Kernel(seed=1)
     gateway, classes = _service_gateway(
         kernel, admit_rps=1_000.0, admit_burst=1, cache_slots=0,
     )
-    first = _request(kernel, classes["recsys"])
-    second = _request(kernel, classes["recsys"])
-    gateway.submit(first)
-    gateway.submit(second)
-    assert second.outcome == "rejected:throttled"
+    for _ in range(3):
+        gateway.submit(_request(kernel, classes["recsys"]))
+    with pytest.raises(TypeError):
+        gateway.stats["offered"] = 0
+    assert gateway.stats["offered"] == 3
+    assert gateway.stats["rejected_throttled"] == 2
+    assert gateway.obs.total("traffic_offered_total") == 3.0
+    assert type(gateway.stats["offered"]) is int
 
 
 def test_admission_off_admits_everything():
@@ -140,8 +144,8 @@ def test_cacheable_class_hits_after_first_serve():
     kernel.run()
     assert gateway.stats["completed"] == 1
     hit = _request(kernel, cls, key=b"user:1")
-    gateway.submit(hit)
-    assert hit.outcome == "cache_hit"
+    assert gateway.submit(hit) is True
+    assert gateway.stats["admitted"] == 1, "a hit never enters the queue"
     kernel.run()
     assert gateway.stats["cache_hits"] == 1
     assert gateway.stats["completed"] == 2
@@ -200,13 +204,14 @@ def test_put_write_through_serves_the_next_get_from_cache():
     put = Request(classes["kvs_put"], b"u:1", b"profile", "steady", kernel.now)
     gateway.submit(put)
     kernel.run()
-    assert put.outcome == "served"
+    assert gateway.stats["completed"] == 1
     assert client.stats["puts_acked"] == 1
 
     get = Request(classes["kvs_get"], b"u:1", b"", "steady", kernel.now)
-    gateway.submit(get)
+    assert gateway.submit(get) is True
     kernel.run()
-    assert get.outcome == "cache_hit"
+    assert gateway.stats["completed"] == 2
+    assert gateway.stats["admitted"] == 1, "the get never entered the queue"
     assert gateway.stats["cache_hits"] == 1
     assert client.stats["gets"] == 0, "cache hit must not touch the backend"
 
